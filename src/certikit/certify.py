@@ -5,7 +5,7 @@ conservation checks, Lyapunov decrease loss, and Zubov PDE residuals.
 Checks never raise on a failed property; violations become report entries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,24 +238,15 @@ class ZubovSpec:
         return float(self.psi(x))
 
 
-def _w_and_grad(W, x, h=1e-5):
+def _w_and_grad(W, x):
     if isinstance(W, AnalyticField):
         return float(W.value(x)), np.asarray(W.grad(x), dtype=float)
     if isinstance(W, nn.Mlp):
-        w = float(nn.forward(W, x)[0])
-        g = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h
-            g[i] = (nn.forward(W, x + e)[0] - nn.forward(W, x - e)[0]) / (2 * h)
-        return w, g
-    w = float(W(x))
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (float(W(x + e)) - float(W(x - e))) / (2 * h)
-    return w, g
+        w_eval = lambda z: nn.forward(W, z)[0]
+    else:
+        w_eval = lambda z: float(W(z))
+    w = float(w_eval(x))
+    return w, dyn.central_difference(w_eval, x, 1e-5)
 
 
 def zubov_residual(spec: ZubovSpec, samples, range_tol=1e-9) -> dict:

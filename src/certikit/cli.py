@@ -5,7 +5,7 @@ and bundles five self-contained demos.
 Exit codes: 0 all checks passed, 1 a violation or counterexample was found,
 2 usage error, malformed config, or infeasible problem. Reports are JSON,
 written atomically (temp file then rename); identical config and seed give
-byte-identical reports in single-worker mode apart from the wall-time field.
+byte-identical reports apart from the wall-time field.
 """
 
 import argparse
@@ -166,22 +166,27 @@ def _task_verify_nn(cfg, seed, started):
     return _report("verify-nn", status, checks, seed, started)
 
 
-def _task_filter_sim(cfg, seed, started):
-    n_steps = int(cfg.get("steps", 1000))
-    dt = float(cfg.get("dt", 0.01))
-    kappa = float(cfg.get("kappa", 1.0))
-    u_lim = float(cfg.get("u_limit", 2.0))
+def _cbf_integrator_sim(x0, n_steps, dt, kappa, u_lim, nominal):
+    """Single integrator x' = u kept below x = 1 (h = 1 - x) by a CBF filter
+    with |u| <= u_lim, driven by the nominal input nominal(k) at step k.
+
+    Returns the forward-invariance and pass-through checks and the number of
+    steps whose nominal input was not admissible as is.
+    """
     sys = dyn.linear_ode(np.zeros((1, 1)), np.ones((1, 1)))
     bar = filters.affine_barrier(np.array([-1.0]), 1.0, kappa)  # h = 1 - x
     flt = filters.CbfFilter(sys, bar, geom.Box([-u_lim], [u_lim]))
-    x = np.array([float(cfg.get("x0", 0.0))])
+    x = np.array([x0])
     min_h = np.inf
     max_passthrough_dev = 0.0
+    n_filtered = 0
     for k in range(n_steps):
-        u_nom = np.array([1.5 * np.sin(0.002 * k)])
+        u_nom = np.array([nominal(k)])
         u = flt.filter(x, u_nom)
         if float(u_nom[0]) <= kappa * bar.h(x) and abs(u_nom[0]) <= u_lim:
             max_passthrough_dev = max(max_passthrough_dev, abs(float(u[0] - u_nom[0])))
+        else:
+            n_filtered += 1
         x = x + dt * u
         min_h = min(min_h, bar.h(x))
     checks = [
@@ -192,6 +197,19 @@ def _task_filter_sim(cfg, seed, started):
             "max_deviation": float(max_passthrough_dev),
         },
     ]
+    return checks, n_filtered
+
+
+def _task_filter_sim(cfg, seed, started):
+    n_steps = int(cfg.get("steps", 1000))
+    checks, _ = _cbf_integrator_sim(
+        float(cfg.get("x0", 0.0)),
+        n_steps,
+        float(cfg.get("dt", 0.01)),
+        float(cfg.get("kappa", 1.0)),
+        float(cfg.get("u_limit", 2.0)),
+        lambda k: 1.5 * np.sin(0.002 * k),
+    )
     status = "pass" if all(c["passed"] for c in checks) else "violation"
     return _report("filter-sim", status, checks, seed, started, {"steps": n_steps})
 
@@ -283,33 +301,10 @@ def run(config, out_path=None, seed=None):
 
 def _demo_integrator_cbf(seed, started, n_steps=100_000):
     """Single integrator kept below x=1 by a CBF filter for 10^5 steps."""
-    dt, kappa, u_lim = 0.01, 1.0, 2.0
-    sys = dyn.linear_ode(np.zeros((1, 1)), np.ones((1, 1)))
-    bar = filters.affine_barrier(np.array([-1.0]), 1.0, kappa)
-    flt = filters.CbfFilter(sys, bar, geom.Box([-u_lim], [u_lim]))
-    x = np.array([0.0])
-    min_h = np.inf
-    max_passthrough_dev = 0.0
-    n_filtered = 0
-    for k in range(n_steps):
-        u_nom = np.array([1.5 + 0.5 * np.sin(2e-4 * k)])  # persistently pushes up
-        u = flt.filter(x, u_nom)
-        if float(u_nom[0]) <= kappa * bar.h(x):
-            max_passthrough_dev = max(max_passthrough_dev, abs(float(u[0] - u_nom[0])))
-        else:
-            n_filtered += 1
-        x = x + dt * u
-        h = bar.h(x)
-        if h < min_h:
-            min_h = h
-    checks = [
-        {"name": "forward_invariance", "passed": bool(min_h >= -1e-6), "min_h": float(min_h)},
-        {
-            "name": "nominal_passthrough",
-            "passed": bool(max_passthrough_dev <= 1e-6),
-            "max_deviation": float(max_passthrough_dev),
-        },
-    ]
+    # the nominal input persistently pushes up and never exceeds u_lim
+    checks, n_filtered = _cbf_integrator_sim(
+        0.0, n_steps, dt=0.01, kappa=1.0, u_lim=2.0, nominal=lambda k: 1.5 + 0.5 * np.sin(2e-4 * k)
+    )
     status = "pass" if all(c["passed"] for c in checks) else "violation"
     return _report(
         "demo:integrator-cbf",
@@ -330,13 +325,7 @@ def _demo_bicycle_conformal(seed, started):
     dt, horizon = 0.1, 10
 
     def rollout(x0, us, noisy):
-        x = x0.copy()
-        for u in us:
-            k1 = model.f(x, u)
-            k2 = model.f(x + 0.5 * dt * k1, u)
-            k3 = model.f(x + 0.5 * dt * k2, u)
-            k4 = model.f(x + dt * k3, u)
-            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = dyn.simulate_ode(model, x0, us, dt).states[-1]
         if noisy:
             x = x + np.concatenate([rng.normal(0, 0.05, 2), [0.0, 0.0]])
         return x
@@ -427,11 +416,7 @@ def _demo_koopman_stability(seed, started):
 def _demo_gp_massspring(seed, started):
     """1-DOF mass-spring port-Hamiltonian field learned from 50 samples."""
     rng = np.random.default_rng(seed)
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def field(x):
-        return J @ x  # J grad H with H = 0.5 x'x
-
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # field J grad H with H = 0.5 x'x
     X = rng.uniform(-1.5, 1.5, size=(50, 2))
     dX = X @ J.T
     data = gpphs.GpPhsDataset(X, dX, np.zeros((50, 0)), noise_var=0.0)
@@ -521,7 +506,6 @@ def main(argv=None):
     parser.add_argument("--demo", help=f"run a bundled demo: {', '.join(DEMOS)}")
     parser.add_argument("--out", help="report output path (JSON)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     if (args.config is None) == (args.demo is None):
         parser.print_usage(sys.stderr)

@@ -29,6 +29,7 @@ __all__ = [
     "simulate_ode",
     "closed_loop",
     "linearize",
+    "central_difference",
     "linear_ode",
     "phs_ode",
 ]
@@ -191,7 +192,7 @@ def step(model, x, u=None):
     elif isinstance(model, ComposedMap):
         out = step(model.model, x, model.policy(x))
     elif isinstance(model, _OdeMapAdapter):
-        out = simulate_ode(model.ode, x, [u], model.dt, substeps=1).states[-1]
+        out = simulate_ode(model.ode, x, [u], model.dt).states[-1]
     else:
         raise UnsupportedModel(f"unknown discrete map {type(model).__name__}")
     if not np.all(np.isfinite(out)):
@@ -332,11 +333,12 @@ class BicycleModel:
     input_dim = 2
 
     def clamp(self, u):
+        # scalar min/max give the same values as np.clip and are faster on scalars
         u = np.asarray(u, dtype=float).ravel()
         return np.array(
             [
-                np.clip(u[0], -self.steer_limit, self.steer_limit),
-                np.clip(u[1], -self.accel_limit, self.accel_limit),
+                min(max(u[0], -self.steer_limit), self.steer_limit),
+                min(max(u[1], -self.accel_limit), self.accel_limit),
             ]
         )
 
@@ -360,47 +362,42 @@ class Trajectory:
 
 def _rhs(sys, x, u):
     if isinstance(sys, BicycleModel):
-        return sys.f(x, sys.clamp(u))
+        return sys.f(x, u)
     return sys.f(x) + sys.g(x) @ u
 
 
-def simulate_ode(sys, x0, u_seq, dt, substeps=1) -> Trajectory:
-    """Classical RK4 with zero-order-hold inputs.
+def simulate_ode(sys, x0, u_seq, dt) -> Trajectory:
+    """Classical RK4 with zero-order-hold inputs, one step of length dt per
+    input; bicycle inputs are clamped once per step.
 
-    Returns all intermediate states (len(u_seq)*substeps + 1 rows).
+    Returns all states (len(u_seq) + 1 rows).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != sys.state_dim:
         raise DimensionMismatch("initial state dimension mismatch")
-    h = dt / substeps
     n_steps = len(u_seq)
-    times = np.arange(n_steps * substeps + 1) * h
-    states = np.empty((n_steps * substeps + 1, x.size))
-    inputs = np.empty((n_steps * substeps + 1, sys.input_dim))
+    times = np.arange(n_steps + 1) * dt
+    states = np.empty((n_steps + 1, x.size))
+    inputs = np.empty((n_steps + 1, sys.input_dim))
     states[0] = x
-    row = 0
     for k in range(n_steps):
         u = np.asarray(u_seq[k], dtype=float).ravel()
         if u.size != sys.input_dim:
             raise DimensionMismatch("input dimension mismatch")
         if isinstance(sys, BicycleModel):
             u = sys.clamp(u)
-        inputs[row] = u
-        for _ in range(substeps):
-            k1 = _rhs(sys, x, u)
-            k2 = _rhs(sys, x + 0.5 * h * k1, u)
-            k3 = _rhs(sys, x + 0.5 * h * k2, u)
-            k4 = _rhs(sys, x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            row += 1
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(f"state diverged at step {row}", step=row)
-            states[row] = x
-            inputs[row] = u
+        inputs[k] = u
+        k1 = _rhs(sys, x, u)
+        k2 = _rhs(sys, x + 0.5 * dt * k1, u)
+        k3 = _rhs(sys, x + 0.5 * dt * k2, u)
+        k4 = _rhs(sys, x + dt * k3, u)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState(f"state diverged at step {k + 1}", step=k + 1)
+        states[k + 1] = x
+        inputs[k + 1] = u
     return Trajectory(times, states, inputs)
 
 
@@ -456,30 +453,34 @@ def _coerce_policy(policy, state_dim, input_dim):
     return p
 
 
-def linearize(model, x, u=None, h=None):
+def central_difference(f, x, h):
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h), evaluated one
+    coordinate at a time: the gradient of a scalar f, or the Jacobian of a
+    vector-valued f (one column per coordinate).
+
+    The evaluations are not batched: batched matmuls round differently.
+    """
+    cols = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        cols.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def linearize(model, x, u=None):
     """Central finite-difference Jacobians (A, B); exact for LinearMap."""
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(model, LinearMap):
         B = model.B if model.B is not None else np.zeros((model.state_dim, 0))
         return model.A.copy(), B.copy()
-    if h is None:
-        h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    n = x.size
-    A = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        A[:, i] = (step(model, x + e, u) - step(model, x - e, u)) / (2 * h)
-    m = model.input_dim
-    B = np.empty((n, m))
-    if m > 0:
+    h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
+    A = central_difference(lambda xi: step(model, xi, u), x, h)
+    if model.input_dim > 0:
         u = np.asarray(u, dtype=float).ravel()
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            B[:, j] = (step(model, x, u + e) - step(model, x, u - e)) / (2 * h)
+        B = central_difference(lambda ui: step(model, x, ui), u, h)
+    else:
+        B = np.empty((x.size, 0))
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NonFiniteState("non-finite Jacobian")
     return A, B

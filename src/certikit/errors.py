@@ -19,10 +19,6 @@ class NonFiniteState(CertikitError):
         self.step = step
 
 
-class PowerIterationStall(CertikitError):
-    pass
-
-
 class NoConvergence(CertikitError):
     pass
 
@@ -67,10 +63,6 @@ class CholeskyFail(CertikitError):
 
 class SampleSizeOverflow(CertikitError):
     """Requested accuracy leads to an astronomically large sample count."""
-
-
-class BudgetExhausted(CertikitError):
-    pass
 
 
 class ConfigError(CertikitError):

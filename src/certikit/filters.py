@@ -6,12 +6,12 @@ every filter solve stays a convex QP. Each filter holds a private
 warm-started QP solver instance; use one filter per control loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dyn, geom, nn, qp
-from .errors import DimensionMismatch, InfeasibleFilter, SqpNoConverge, UnsupportedModel
+from .errors import DimensionMismatch, InfeasibleFilter, SqpNoConverge
 
 __all__ = [
     "BarrierSpec",
@@ -21,7 +21,6 @@ __all__ = [
     "ClfSpec",
     "PsfConfig",
     "CbfFilter",
-    "cbf_filter",
     "clf_check",
     "PredictiveSafetyFilter",
     "predictive_safety_filter",
@@ -40,14 +39,10 @@ class BarrierSpec:
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
 
-    def validate_gradient(self, x, tol=1e-6, h_fd=1e-6):
+    def validate_gradient(self, x, tol=1e-6):
         x = np.asarray(x, dtype=float).ravel()
         g = np.asarray(self.grad_h(x), dtype=float).ravel()
-        fd = np.empty_like(g)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h_fd
-            fd[i] = (self.h(x + e) - self.h(x - e)) / (2 * h_fd)
+        fd = dyn.central_difference(self.h, x, 1e-6)
         err = np.max(np.abs(fd - g), initial=0.0)
         if err > tol * (1.0 + np.max(np.abs(g), initial=0.0)):
             raise ValueError(f"grad_h inconsistent with h (fd error {err:.3g})")
@@ -102,16 +97,10 @@ class ClfSpec:
             return float(nn.lyapunov_eval(self.V, x))
         return float(self.V(x))
 
-    def gradient(self, x, h_fd=1e-6):
+    def gradient(self, x):
         if self.grad_V is not None:
             return np.asarray(self.grad_V(x), dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
-        g = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h_fd
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2 * h_fd)
-        return g
+        return dyn.central_difference(self.value, np.asarray(x, dtype=float).ravel(), 1e-6)
 
 
 def quadratic_clf(P, kappa_v=1.0) -> ClfSpec:
@@ -188,11 +177,6 @@ class CbfFilter:
                 certificate=sol.certificate,
             )
         return sol.z
-
-
-def cbf_filter(sys, x, u_nom, barrier, u_box) -> np.ndarray:
-    """One-shot CBF filtering (see CbfFilter for the loop-friendly form)."""
-    return CbfFilter(sys, barrier, u_box).filter(x, u_nom)
 
 
 def clf_check(sys: dyn.ControlAffineODE, x, clf: ClfSpec, u_box: geom.Box) -> dict:
@@ -280,7 +264,6 @@ class PredictiveSafetyFilter:
         for i in range(N):
             for r in range(n):
                 row = np.zeros(nv)
-                row[x_idx(i + 1)][r] = 0.0  # placeholder, set below
                 row[N * m + i * n + r] = 1.0
                 row[u_idx(i)] = -Bs[i][r]
                 rhs = cs[i][r]
@@ -365,7 +348,7 @@ class PredictiveSafetyFilter:
             As, Bs, cs = [], [], []
             for i in range(N):
                 Ai, Bi = dyn.linearize(self.model, xs[i], u_plan[i])
-                ci = dyn.step(self.model, xs[i], u_plan[i]) - Ai @ xs[i] - Bi @ u_plan[i]
+                ci = xs[i + 1] - Ai @ xs[i] - Bi @ u_plan[i]
                 As.append(Ai)
                 Bs.append(Bi)
                 cs.append(ci)

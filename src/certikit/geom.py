@@ -143,10 +143,6 @@ class BallUnion:
         return self.centers.dim
 
 
-def region_dim(region):
-    return region.dim
-
-
 def _check_dim(region, x):
     x = np.asarray(x, dtype=float).ravel()
     if x.size != region.dim:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BudgetExhausted, CholeskyFail, InsufficientData
+from .errors import CholeskyFail, InsufficientData
 
 __all__ = [
     "PhsKernelParams",
@@ -225,9 +225,8 @@ def _unpack(theta, template: PhsKernelParams):
 def fit(data: GpPhsDataset, init: PhsKernelParams, budget: int) -> PhsKernelParams:
     """Nelder-Mead minimization of the NLML over log-transformed parameters.
 
-    Returns the best iterate found. When the simplex has not converged within
-    `budget` evaluations the best iterate is still returned and the condition
-    is noted via BudgetExhausted semantics (best-effort, never raised here).
+    Returns the best iterate found, also when the simplex has not converged
+    within `budget` evaluations.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -9,7 +9,7 @@ binary variable.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,10 @@ _INF = np.inf
 
 @dataclass
 class ReluEncoding:
-    """Per-layer preactivation bounds and the resulting big-M constants."""
+    """Per-layer preactivation bounds, which give the big-M constants."""
 
     lb: list  # per-layer arrays
     ub: list
-
-    def big_m(self, layer, j):
-        return max(abs(self.lb[layer][j]), abs(self.ub[layer][j]))
 
 
 @dataclass
@@ -55,6 +52,7 @@ class MilpModel:
     binary_neuron: list  # (layer, neuron) per binary
     encoding: ReluEncoding
     net: nn.Mlp
+    box: geom.Box  # bounding box of the input region
 
 
 def _region_box(region):
@@ -169,6 +167,7 @@ def encode_network(net: nn.Mlp, region) -> MilpModel:
         binary_neuron=binaries,
         encoding=enc,
         net=net,
+        box=box,
     )
 
 
@@ -241,14 +240,13 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
     model = encode_network(net, region)
     solver = qp.AdmmSolver(tol=min(tol * 1e-2, 1e-7))
     nb = model.binary_idx.size
-    box = _region_box(region)
 
     incumbent = -np.inf
     incumbent_x = None
 
     def update_incumbent(x):
         nonlocal incumbent, incumbent_x
-        x = np.clip(x, box.lower, box.upper)
+        x = np.clip(x, model.box.lower, model.box.upper)
         val = float(nn.forward(net, x)[0])
         if val > incumbent:
             incumbent, incumbent_x = val, x.copy()

@@ -8,7 +8,7 @@ Infeasibility is detected from the normalized divergence certificates of
 the successive-difference sequences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class AdmmSolver:
 
     # -- public API --------------------------------------------------------
 
-    def solve(self, prob: QProblem, warm_start=True, polish=True) -> QpSolution:
+    def solve(self, prob: QProblem, warm_start=True) -> QpSolution:
         n, m = prob.n, prob.m
         if warm_start and self._warm is not None and self._warm[0] == (n, m):
             _, x, y, z = self._warm
@@ -249,7 +249,7 @@ class AdmmSolver:
             _, x, y = best
 
         # polishing: exact resolve on the active set, keep it if it improves
-        polished = self._polish(prob, x, y) if polish else None
+        polished = self._polish(prob, x, y)
         if polished is not None:
             xp, yp = polished
             zp = np.clip(prob.A @ xp, prob.l, prob.u)
@@ -277,10 +277,8 @@ def solve(prob: QProblem, tol=1e-6, max_iter=20_000) -> QpSolution:
     return AdmmSolver(tol=tol, max_iter=max_iter).solve(prob, warm_start=False)
 
 
-def solve_lp(c, A, l, u, tol=1e-6, max_iter=20_000, solver: AdmmSolver | None = None) -> QpSolution:
+def solve_lp(c, A, l, u, tol=1e-6, max_iter=20_000) -> QpSolution:
     """min c'z s.t. l <= Az <= u, with vertex polishing."""
     c = np.asarray(c, dtype=float).ravel()
     prob = QProblem(np.zeros((c.size, c.size)), c, A, l, u)
-    if solver is None:
-        return solve(prob, tol=tol, max_iter=max_iter)
-    return solver.solve(prob)
+    return solve(prob, tol=tol, max_iter=max_iter)

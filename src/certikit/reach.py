@@ -85,69 +85,54 @@ class InvariantEstimate:
 # -- sound interval propagation -------------------------------------------
 
 
-def _interval_linear(A, c, r, b=None):
-    """Exact interval image of x -> Ax + b on center/radius form."""
-    c2 = A @ c
-    r2 = np.abs(A) @ r
-    if b is not None:
-        c2 = c2 + b
-    return c2, r2
-
-
-def _ibp_network(net: nn.Mlp, lo, hi):
-    for layer in net.layers:
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        c, r = _interval_linear(layer.W, c, r, layer.b)
+def _interval_pass(layers, lo, hi, pre_bounds=None):
+    """Interval bound propagation through monotone (W, b, activation) layers;
+    appends each preactivation box to pre_bounds if given. b = None adds no
+    bias: a zero bias would turn -0.0 bounds into 0.0."""
+    for W, b, activation in layers:
+        c = W @ (0.5 * (lo + hi))
+        r = np.abs(W) @ (0.5 * (hi - lo))
+        if b is not None:
+            c = c + b
         lo, hi = c - r, c + r
-        if layer.activation == "relu":
-            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        elif layer.activation in ("sigmoid", "softplus"):
-            from .nn import _act
-
-            lo, hi = _act(layer.activation, lo), _act(layer.activation, hi)
-        elif layer.activation != "identity":
-            raise UnsupportedModel(f"IBP unsupported activation {layer.activation}")
+        if pre_bounds is not None:
+            pre_bounds.append((lo, hi))
+        lo, hi = nn._act(activation, lo), nn._act(activation, hi)
     return lo, hi
+
+
+def _net_layers(net: nn.Mlp):
+    return [(layer.W, layer.b, layer.activation) for layer in net.layers]
 
 
 def propagate_interval(model, x0: geom.Box, steps: int) -> ReachResult:
     """Sound per-step boxes: exact interval images for linear maps, interval
     bound propagation for ReLU networks."""
+    if isinstance(model, (dyn.LinearMap, dyn.KoopmanLatentMap)):
+        A = model.A if isinstance(model, dyn.LinearMap) else model.K
+        layers = [(A, None, "identity")]
+    elif isinstance(model, dyn.NetworkMap):
+        layers = _net_layers(model.net)
+    else:
+        raise UnsupportedModel(
+            f"interval propagation does not support {type(model).__name__}; use sampling"
+        )
+    if model.input_dim > 0:
+        raise UnsupportedModel("interval propagation needs an autonomous map")
     regions = [x0]
     lo, hi = x0.lower.copy(), x0.upper.copy()
     for _ in range(steps):
-        if isinstance(model, (dyn.LinearMap, dyn.KoopmanLatentMap)):
-            A = model.A if isinstance(model, dyn.LinearMap) else model.K
-            if isinstance(model, dyn.LinearMap) and model.input_dim > 0:
-                raise UnsupportedModel("interval propagation needs an autonomous map")
-            c, r = _interval_linear(A, 0.5 * (lo + hi), 0.5 * (hi - lo))
-            lo, hi = c - r, c + r
-        elif isinstance(model, dyn.NetworkMap):
-            if model.input_dim > 0:
-                raise UnsupportedModel("interval propagation needs an autonomous map")
-            lo, hi = _ibp_network(model.net, lo, hi)
-        else:
-            raise UnsupportedModel(
-                f"interval propagation does not support {type(model).__name__}; use sampling"
-            )
+        lo, hi = _interval_pass(layers, lo, hi)
         regions.append(geom.Box(lo, hi))
     return ReachResult(tuple(regions), "sound_overapprox", {"method": "interval"})
 
 
 def network_preactivation_bounds(net: nn.Mlp, x0: geom.Box):
     """Per-layer preactivation interval bounds by IBP (used by the MILP encoder)."""
-    lo, hi = x0.lower.copy(), x0.upper.copy()
+    if any(layer.activation not in ("relu", "identity") for layer in net.layers):
+        raise UnsupportedModel("bounds only for relu/identity layers")
     bounds = []
-    for layer in net.layers:
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        c, r = _interval_linear(layer.W, c, r, layer.b)
-        pre_lo, pre_hi = c - r, c + r
-        bounds.append((pre_lo.copy(), pre_hi.copy()))
-        lo, hi = pre_lo, pre_hi
-        if layer.activation == "relu":
-            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        elif layer.activation != "identity":
-            raise UnsupportedModel("bounds only for relu/identity layers")
+    _interval_pass(_net_layers(net), x0.lower, x0.upper, bounds)
     return bounds
 
 

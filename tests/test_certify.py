@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from certikit import certify, dyn, geom
+from certikit import certify, dyn, geom, nn
 from certikit.errors import DimensionMismatch
 
 
@@ -167,3 +167,29 @@ def test_zubov_flags_range_violation():
     rep = certify.zubov_residual(spec, np.array([[1.0]]))
     assert rep["range_violations"]
     assert not rep["passed"]
+
+
+def test_zubov_residual_network_w_finite_difference_gradient():
+    # W(x) = a.x + b as one identity layer: its gradient is a
+    a, b = np.array([0.3, -0.2]), 0.1
+    W = nn.Mlp((nn.Layer(a[None, :], [b], "identity"),))
+    spec = certify.ZubovSpec(W, lambda x: -x)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 2))
+    rep = certify.zubov_residual(spec, pts)
+    exact = np.array([a @ -x + (x @ x) * (1.0 - (a @ x + b)) for x in pts])
+    assert rep["max_residual"] == pytest.approx(np.max(np.abs(exact)), abs=1e-8)
+    assert rep["mean_residual"] == pytest.approx(np.mean(np.abs(exact)), abs=1e-8)
+    assert rep["w_at_origin"] == pytest.approx(b, abs=1e-15)
+    assert not rep["origin_ok"]
+
+
+def test_zubov_residual_callable_w_finite_difference_gradient():
+    # the closed-form pair above, with W a plain callable: the gradient now
+    # comes from central differences, so the residual vanishes up to O(h^2)
+    spec = certify.ZubovSpec(
+        lambda x: 1.0 - np.exp(-float(x @ x)), lambda x: -x, psi=lambda x: 2.0 * float(x @ x)
+    )
+    pts = np.linspace(-2, 2, 101)[:, None]
+    rep = certify.zubov_residual(spec, pts)
+    assert rep["max_residual"] <= 1e-8
+    assert rep["passed"]

@@ -64,6 +64,12 @@ def test_clf_check_stabilizable():
     assert rep["inf_lie_derivative"] <= rep["threshold"] + 1e-9
 
 
+def test_clf_gradient_finite_difference_without_grad():
+    clf = filters.ClfSpec(lambda x: float(x @ x), None)
+    x = np.array([0.5, -1.5, 2.0])
+    np.testing.assert_allclose(clf.gradient(x), 2.0 * x, rtol=0, atol=1e-8)
+
+
 def test_clf_check_reports_failure():
     # input box too small to achieve the decrease rate
     clf = filters.quadratic_clf(np.eye(1), kappa_v=100.0)

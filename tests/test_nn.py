@@ -110,6 +110,18 @@ def test_lipschitz_bound_dominates_samples():
     assert np.all(num <= L * den + 1e-9)
 
 
+def test_lipschitz_bound_covers_near_tied_singular_values():
+    # W = U diag(s) V' has spectral norm 1; with the top two singular values
+    # this close, power iteration stops early and comes in under the norm
+    rng = np.random.default_rng(12)
+    s = np.array([1.0, 1.0 - 1e-4, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+    for _ in range(50):
+        U, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        net = nn.Mlp((nn.Layer(U @ np.diag(s) @ V.T, np.zeros(8), "identity"),))
+        assert nn.lipschitz_bound(net) >= 1.0
+
+
 def test_weight_roundtrip(tmp_path):
     for net in (small_mlp(), make_icnn(), nn.LyapunovCandidate(make_icnn(), 1e-2)):
         p = tmp_path / "net.json"
