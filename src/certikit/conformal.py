@@ -13,7 +13,7 @@ from math import ceil, cos, sin
 
 import numpy as np
 
-from .errors import InsufficientCalibration
+from .errors import ConfigError, InsufficientCalibration
 
 __all__ = [
     "ConformalCalibration",
@@ -106,13 +106,20 @@ def calibrate_2d(lon_scores, lat_scores, delta, q_levels=(0.05, 0.95)):
 
 
 def load_score_csv(path):
-    """Read (prediction x, y, heading, actual x, y) rows into score pairs."""
+    """Read (prediction x, y, heading, actual x, y) rows into score pairs; an
+    empty file, a short row or a non-numeric cell raises ConfigError."""
     lon, lat = [], []
     with open(path) as f:
         reader = csv.reader(f)
-        header = next(reader)
+        if next(reader, None) is None:
+            raise ConfigError(f"{path}: empty score CSV (expected a header row)")
         for row in reader:
-            vals = [float(v) for v in row]
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as e:
+                raise ConfigError(f"{path} line {reader.line_num}: {e}") from e
+            if len(vals) < 5:
+                raise ConfigError(f"{path} line {reader.line_num}: expected 5 columns, got {len(vals)}")
             e_lon, e_lat = rotated_rect_score(vals[0:3], vals[3:5])
             lon.append(e_lon)
             lat.append(e_lat)

@@ -9,8 +9,8 @@ while BallUnion keeps exact 2-norm semantics.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import qp
 from .errors import DimensionMismatch, NegativeRadius
 
 __all__ = [
@@ -153,20 +153,18 @@ def _check_dim(region, x):
 def hull_membership_lp(points: np.ndarray, x: np.ndarray, tol=HULL_LP_TOL):
     """Feasibility LP: exists lam >= 0, sum lam = 1, P'lam = x."""
     pts = np.atleast_2d(points)
-    k, n = pts.shape
-    # rows: convex-combination equalities, simplex normalization, lam bounds
-    A = np.vstack([pts.T, np.ones((1, k)), np.eye(k)])
-    l = np.concatenate([x, [1.0], np.zeros(k)])
-    u = np.concatenate([x, [1.0], np.ones(k)])
-    sol = qp.solve_lp(np.zeros(k), A, l, u, tol=tol * 0.1)
-    if sol.status == "PrimalInfeasible":
+    k = pts.shape[0]
+    # rows: convex-combination equalities and simplex normalization
+    A_eq = np.vstack([pts.T, np.ones((1, k))])
+    res = linprog(np.zeros(k), A_eq=A_eq, b_eq=np.append(x, 1.0), bounds=(0.0, 1.0), method="highs")
+    if res.status != 0:
         return False
-    lam = np.clip(sol.z, 0.0, None)
+    lam = np.clip(res.x, 0.0, None)
     s = lam.sum()
     if s <= 0:
         return False
     lam = lam / s
-    return float(np.linalg.norm(pts.T @ lam - x)) <= tol * (1.0 + np.linalg.norm(x))
+    return bool(np.linalg.norm(pts.T @ lam - x) <= tol * (1.0 + np.linalg.norm(x)))
 
 
 def contains(region, x, tol=1e-9) -> bool:

@@ -6,20 +6,26 @@ assignment iff u = net(x). Per-neuron big-M constants come from interval
 bound propagation, so the LP relaxations stay tight; neurons whose
 preactivation sign is fixed over the region are encoded affinely with no
 binary variable.
+
+Node LPs are solved by scipy's HiGHS, but no node bound trusts its optimum:
+each bound is recomputed in floating point from the row multipliers by the
+safe dual rule of Neumaier & Shcherbina (Math. Prog. 2004), which holds for
+any nonnegative multipliers, so an inexact solve can only loosen it.
 """
 
 import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import geom, nn, qp, reach
-from .errors import UnboundedRegion, UnsupportedActivation, UnsupportedModel
+from . import geom, nn, reach
+from .errors import NoConvergence, UnboundedRegion, UnsupportedActivation, UnsupportedModel
 
 __all__ = [
     "MilpModel",
-    "ReluEncoding",
     "VerifyOutcome",
+    "dual_bound",
     "encode_network",
     "maximize_output",
     "verify_positivity",
@@ -27,30 +33,19 @@ __all__ = [
     "export_lp_text",
 ]
 
-_INF = np.inf
-
-
-@dataclass
-class ReluEncoding:
-    """Per-layer preactivation bounds, which give the big-M constants."""
-
-    lb: list  # per-layer arrays
-    ub: list
-
 
 @dataclass
 class MilpModel:
-    A: np.ndarray  # constraint rows, l <= A v <= u
-    l: np.ndarray
-    u: np.ndarray
+    A: np.ndarray  # one-sided constraint rows, A v <= b
+    b: np.ndarray
+    lo: np.ndarray  # finite variable box, lo <= v <= hi
+    hi: np.ndarray
     objective: np.ndarray  # maximize objective . v
     n_vars: int
     x_idx: np.ndarray
     out_idx: int
     binary_idx: np.ndarray  # variable indices of activation indicators
-    binary_bound_rows: np.ndarray  # row index carrying each binary's [0,1] bounds
     binary_neuron: list  # (layer, neuron) per binary
-    encoding: ReluEncoding
     net: nn.Mlp
     box: geom.Box  # bounding box of the input region
 
@@ -62,17 +57,19 @@ def _region_box(region):
         n = region.dim
         lo = np.empty(n)
         hi = np.empty(n)
-        m = region.A.shape[0]
-        l = np.full(m, -_INF)
         for i in range(n):
             c = np.zeros(n)
             c[i] = 1.0
-            smin = qp.solve_lp(c, region.A, l, region.b, tol=1e-8)
-            smax = qp.solve_lp(-c, region.A, l, region.b, tol=1e-8)
-            if smin.status == "DualInfeasible" or smax.status == "DualInfeasible":
+            smin = linprog(c, A_ub=region.A, b_ub=region.b, bounds=(None, None), method="highs")
+            smax = linprog(-c, A_ub=region.A, b_ub=region.b, bounds=(None, None), method="highs")
+            if smin.status == 3 or smax.status == 3:
                 raise UnboundedRegion("polytope region is unbounded")
-            lo[i], hi[i] = smin.z[i], smax.z[i]
-            if not (np.isfinite(lo[i]) and np.isfinite(hi[i])) or hi[i] - lo[i] > 1e8:
+            if smin.status == 2:
+                raise ValueError("polytope region is empty")
+            if smin.status != 0 or smax.status != 0:
+                raise NoConvergence(f"polytope bounding box LP: {smin.message} / {smax.message}")
+            lo[i], hi[i] = smin.x[i], smax.x[i]
+            if hi[i] - lo[i] > 1e8:
                 raise UnboundedRegion("polytope region is unbounded or too large")
         return geom.Box(lo - 1e-9, hi + 1e-9)
     raise TypeError(f"region must be Box or HPolytope, got {type(region).__name__}")
@@ -89,7 +86,6 @@ def encode_network(net: nn.Mlp, region) -> MilpModel:
     if not (np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper))):
         raise UnboundedRegion("region must be bounded")
     pre_bounds = reach.network_preactivation_bounds(net, box)
-    enc = ReluEncoding([b[0] for b in pre_bounds], [b[1] for b in pre_bounds])
 
     n0 = net.in_dim
     z_base = []
@@ -101,32 +97,26 @@ def encode_network(net: nn.Mlp, region) -> MilpModel:
     for li, layer in enumerate(net.layers):
         if layer.activation == "relu":
             for j in range(layer.W.shape[0]):
-                if enc.lb[li][j] < 0 < enc.ub[li][j]:
+                if pre_bounds[li][0][j] < 0 < pre_bounds[li][1][j]:
                     binaries.append((li, j))
     beta_idx = {bn: nv + k for k, bn in enumerate(binaries)}
     nv += len(binaries)
 
-    rows, lbs, ubs = [], [], []
+    rows, rhs = [], []
+    lo = np.zeros(nv)
+    hi = np.ones(nv)  # binaries keep [0, 1]
+    lo[:n0], hi[:n0] = box.lower, box.upper
 
-    def add_row(cols, vals, lo, hi):
+    def add_row(cols, vals, bound):
         r = np.zeros(nv)
         r[list(cols)] = vals
         rows.append(r)
-        lbs.append(lo)
-        ubs.append(hi)
-        return len(rows) - 1
+        rhs.append(bound)
 
-    # input region
     if isinstance(region, geom.HPolytope):
         for i in range(region.A.shape[0]):
-            add_row(range(n0), region.A[i], -_INF, region.b[i])
-        for i in range(n0):
-            add_row([i], [1.0], box.lower[i], box.upper[i])
-    else:
-        for i in range(n0):
-            add_row([i], [1.0], box.lower[i], box.upper[i])
+            add_row(range(n0), region.A[i], region.b[i])
 
-    binary_rows = {}
     for li, layer in enumerate(net.layers):
         prev = list(range(n0)) if li == 0 else list(
             range(z_base[li - 1], z_base[li - 1] + net.layers[li - 1].W.shape[0])
@@ -135,37 +125,35 @@ def encode_network(net: nn.Mlp, region) -> MilpModel:
             zj = z_base[li] + j
             w = layer.W[j]
             bj = layer.b[j]
-            lb, ub = enc.lb[li][j], enc.ub[li][j]
-            if layer.activation == "identity" or lb >= 0:
-                # affine neuron: z = w.prev + b
-                add_row([zj] + prev, [1.0] + list(-w), bj, bj)
-                if layer.activation == "relu":
-                    add_row([zj], [1.0], max(lb, 0.0), max(ub, 0.0))
-            elif ub <= 0:
-                add_row([zj], [1.0], 0.0, 0.0)
+            lb, ub = pre_bounds[li][0][j], pre_bounds[li][1][j]
+            if layer.activation == "identity":
+                lo[zj], hi[zj] = lb, ub
             else:
+                lo[zj], hi[zj] = max(lb, 0.0), max(ub, 0.0)
+            if layer.activation == "identity" or lb >= 0:
+                # affine neuron: z = w.prev + b, as two rows
+                add_row([zj] + prev, [1.0] + list(-w), bj)
+                add_row([zj] + prev, [-1.0] + list(w), -bj)
+            elif ub > 0:
                 bi = beta_idx[(li, j)]
-                add_row([zj] + prev, [1.0] + list(-w), bj, _INF)  # z >= a
-                add_row([zj], [1.0], 0.0, max(ub, 0.0))  # 0 <= z <= ub
-                add_row([zj] + prev + [bi], [1.0] + list(-w) + [-lb], -_INF, bj - lb)
-                add_row([zj, bi], [1.0, -ub], -_INF, 0.0)  # z <= ub * beta
-                binary_rows[(li, j)] = add_row([bi], [1.0], 0.0, 1.0)
+                add_row([zj] + prev, [-1.0] + list(w), -bj)  # z >= a
+                add_row([zj] + prev + [bi], [1.0] + list(-w) + [-lb], bj - lb)
+                add_row([zj, bi], [1.0, -ub], 0.0)  # z <= ub * beta
 
     obj = np.zeros(nv)
     out_idx = z_base[-1]
     obj[out_idx] = 1.0
     return MilpModel(
-        A=np.array(rows),
-        l=np.array(lbs),
-        u=np.array(ubs),
+        A=np.array(rows).reshape(len(rows), nv),
+        b=np.array(rhs),
+        lo=lo,
+        hi=hi,
         objective=obj,
         n_vars=nv,
         x_idx=np.arange(n0),
         out_idx=out_idx,
         binary_idx=np.array([beta_idx[bn] for bn in binaries], dtype=int),
-        binary_bound_rows=np.array([binary_rows[bn] for bn in binaries], dtype=int),
         binary_neuron=binaries,
-        encoding=enc,
         net=net,
         box=box,
     )
@@ -191,10 +179,8 @@ def assignment_for(model: MilpModel, x) -> np.ndarray:
 
 
 def model_violation(model: MilpModel, v) -> float:
-    Av = model.A @ v
-    return float(
-        max(np.max(model.l - Av, initial=0.0), np.max(Av - model.u, initial=0.0))
-    )
+    excess = np.concatenate([model.A @ v - model.b, model.lo - v, v - model.hi])
+    return float(np.max(excess, initial=0.0))
 
 
 @dataclass
@@ -205,41 +191,62 @@ class VerifyOutcome:
     nodes_explored: int
     gap: float
 
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "bound": self.bound,
-            "counterexample": None if self.counterexample is None else self.counterexample.tolist(),
-            "nodes_explored": self.nodes_explored,
-            "gap": self.gap,
-        }
+
+def dual_bound(c, A, b, lo, hi, y) -> float:
+    """Upper bound on max c.v s.t. A v <= b, lo <= v <= hi, valid for any
+    multipliers y >= 0: c.v <= y.b + sum_j max(r_j lo_j, r_j hi_j) with
+    r = c - A'y, plus a bound on the rounding error of that sum."""
+    r = c - A.T @ y
+    terms = np.concatenate([y * b, np.maximum(r * lo, r * hi)])
+    scale = np.abs(terms).sum() + (np.abs(c) + np.abs(A).T @ y) @ np.maximum(np.abs(lo), np.abs(hi))
+    gamma = 2 * (A.size + terms.size) * np.finfo(float).eps
+    return float(terms.sum() + gamma * scale)
 
 
-def _node_lp(model: MilpModel, fixed: dict, solver: qp.AdmmSolver):
-    l = model.l.copy()
-    u = model.u.copy()
-    for k, val in fixed.items():
-        r = model.binary_bound_rows[k]
-        l[r] = u[r] = float(val)
-    prob = qp.QProblem(
-        np.zeros((model.n_vars, model.n_vars)), -model.objective, model.A, l, u
+def _elastic_lp(model: MilpModel, lo, hi):
+    """min 1's s.t. A v - s <= b, s >= 0: row multipliers y in [0, 1] whose
+    dual_bound with c = 0 is below 0 prove the node infeasible."""
+    m, n = model.A.shape
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(m)]),
+        A_ub=np.hstack([model.A, -np.eye(m)]),
+        b_ub=model.b,
+        bounds=np.vstack([np.column_stack([lo, hi]), np.column_stack([np.zeros(m), np.full(m, np.inf)])]),
+        method="highs",
     )
-    return solver.solve(prob)
+    if res.status != 0:
+        raise NoConvergence(f"elastic node LP: {res.message}")
+    return np.maximum(-res.ineqlin.marginals, 0.0), res.x[:n]
+
+
+def _node_lp(model: MilpModel, lo, hi):
+    """(checked upper bound, LP point) of the node with variable box [lo, hi],
+    or None when the node is proven infeasible."""
+    c, A, b = model.objective, model.A, model.b
+    res = linprog(-c, A_ub=A, b_ub=b, bounds=np.column_stack([lo, hi]), method="highs")
+    if res.status == 0:
+        return dual_bound(c, A, b, lo, hi, np.maximum(-res.ineqlin.marginals, 0.0)), res.x
+    if res.status != 2:
+        raise NoConvergence(f"node LP: {res.message}")
+    y, v = _elastic_lp(model, lo, hi)
+    if dual_bound(np.zeros_like(c), A, b, lo, hi, y) < 0:
+        return None
+    return dual_bound(c, A, b, lo, hi, y), v
 
 
 def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> VerifyOutcome:
     """Global maximum of a scalar-output ReLU network over a bounded region.
 
-    Best-first branch-and-bound on activation binaries; node bounds come from
-    the LP relaxation, branching picks the most fractional indicator
-    (ties: smallest index). Returns Certified when the bound gap closes to
-    tol, else BoundOnly with the best bound and incumbent.
+    Best-first branch-and-bound on activation binaries; node bounds are dual
+    bounds of the LP relaxation, branching picks the most fractional
+    indicator (ties: smallest index). The returned bound is at least every
+    open, pruned or closed node's bound and the incumbent. Returns Certified
+    when the bound gap closes to tol, else BoundOnly with the best bound and
+    incumbent.
     """
     if net.out_dim != 1:
         raise ValueError("maximize_output needs a scalar-output network")
     model = encode_network(net, region)
-    solver = qp.AdmmSolver(tol=min(tol * 1e-2, 1e-7))
-    nb = model.binary_idx.size
 
     incumbent = -np.inf
     incumbent_x = None
@@ -251,51 +258,40 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
         if val > incumbent:
             incumbent, incumbent_x = val, x.copy()
 
-    slack = 1e-7
     heap = []
     counter = 0
-    sol = _node_lp(model, {}, solver)
+    dropped = -np.inf  # largest bound of a pruned or closed node
+    root = _node_lp(model, model.lo, model.hi)
     nodes = 1
-    if sol.status == "PrimalInfeasible":
+    if root is None:
         return VerifyOutcome("Certified", -np.inf, None, nodes, 0.0)
-    root_bound = -sol.objective + slack * (1 + abs(sol.objective))
-    update_incumbent(sol.z[model.x_idx])
-    heapq.heappush(heap, (-root_bound, counter, {}, sol.z))
-    status = "Certified"
-    global_bound = root_bound
-    while heap:
-        neg_bound, _, fixed, zsol = heapq.heappop(heap)
-        global_bound = -neg_bound
-        if global_bound <= incumbent + tol:
-            global_bound = max(global_bound, incumbent)
-            break
-        if nodes >= node_budget:
-            status = "BoundOnly"
-            break
-        beta = zsol[model.binary_idx] if nb else np.array([])
-        frac = [(abs(beta[k] - 0.5), k) for k in range(nb) if k not in fixed]
-        if not frac:
+    update_incumbent(root[1][model.x_idx])
+    heapq.heappush(heap, (-root[0], counter, model.lo, model.hi, root[1]))
+    while heap and -heap[0][0] > incumbent + tol and nodes < node_budget:
+        neg_bound, _, lo, hi, v = heapq.heappop(heap)
+        free = [k for k, i in enumerate(model.binary_idx) if lo[i] < hi[i]]
+        if not free:
+            dropped = max(dropped, -neg_bound)
             continue
-        _, kb = min(frac)
+        _, kb = min((abs(v[model.binary_idx[k]] - 0.5), k) for k in free)
         for val in (0.0, 1.0):
-            child = dict(fixed)
-            child[kb] = val
-            sol = _node_lp(model, child, solver)
+            clo, chi = lo.copy(), hi.copy()
+            clo[model.binary_idx[kb]] = chi[model.binary_idx[kb]] = val
+            child = _node_lp(model, clo, chi)
             nodes += 1
-            if sol.status == "PrimalInfeasible":
+            if child is None:
                 continue
-            bound = -sol.objective + slack * (1 + abs(sol.objective))
-            update_incumbent(sol.z[model.x_idx])
-            if bound > incumbent + tol:
+            update_incumbent(child[1][model.x_idx])
+            if child[0] > incumbent + tol:
                 counter += 1
-                heapq.heappush(heap, (-bound, counter, child, sol.z))
-    else:
-        global_bound = incumbent  # heap exhausted: every branch pruned or solved
+                heapq.heappush(heap, (-child[0], counter, clo, chi, child[1]))
+            else:
+                dropped = max(dropped, child[0])
 
-    gap = float(max(global_bound - incumbent, 0.0))
-    if status == "Certified" and gap > tol:
-        status = "BoundOnly"
-    return VerifyOutcome(status, float(max(global_bound, incumbent)), incumbent_x, nodes, gap)
+    bound = max(-heap[0][0] if heap else -np.inf, dropped, incumbent)
+    gap = float(max(bound - incumbent, 0.0))
+    status = "Certified" if gap <= tol else "BoundOnly"
+    return VerifyOutcome(status, float(bound), incumbent_x, nodes, gap)
 
 
 def negate_mlp(net: nn.Mlp) -> nn.Mlp:
@@ -397,14 +393,9 @@ def export_lp_text(model: MilpModel) -> str:
     for r in range(model.A.shape[0]):
         cols = np.nonzero(model.A[r])[0]
         expr = " + ".join(f"{model.A[r, c]:g} {names[c]}" for c in cols)
-        lo, hi = model.l[r], model.u[r]
-        if lo == hi:
-            lines.append(f" c{r}: {expr} = {lo:g}")
-        else:
-            if np.isfinite(lo):
-                lines.append(f" c{r}l: {expr} >= {lo:g}")
-            if np.isfinite(hi):
-                lines.append(f" c{r}u: {expr} <= {hi:g}")
+        lines.append(f" c{r}: {expr} <= {model.b[r]:g}")
+    lines.append("Bounds")
+    lines += [f" {model.lo[i]:g} <= {names[i]} <= {model.hi[i]:g}" for i in range(model.n_vars)]
     lines.append("Binary")
     lines.append(" " + " ".join(names[i] for i in model.binary_idx))
     lines.append("End")

@@ -1,4 +1,4 @@
-"""Dense convex QP/LP solver based on ADMM operator splitting.
+"""Dense convex QP solver based on ADMM operator splitting.
 
 Solves  min 1/2 z'Pz + q'z  s.t.  l <= Az <= u  with P symmetric PSD.
 The iteration follows the standard splitting used by operator-splitting
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QProblem", "QpSolution", "AdmmSolver", "solve", "solve_lp"]
+__all__ = ["QProblem", "QpSolution", "AdmmSolver", "solve"]
 
 _SYM_TOL = 1e-10
 
@@ -61,15 +61,6 @@ class QProblem:
 
     def objective(self, z):
         return 0.5 * z @ self.P @ z + self.q @ z
-
-    def to_dict(self):
-        return {
-            "P": self.P.tolist(),
-            "q": self.q.tolist(),
-            "A": self.A.tolist(),
-            "l": [float(v) for v in self.l],
-            "u": [float(v) for v in self.u],
-        }
 
 
 @dataclass
@@ -275,10 +266,3 @@ class AdmmSolver:
 def solve(prob: QProblem, tol=1e-6, max_iter=20_000) -> QpSolution:
     """One-shot QP solve (fresh solver instance, no warm start)."""
     return AdmmSolver(tol=tol, max_iter=max_iter).solve(prob, warm_start=False)
-
-
-def solve_lp(c, A, l, u, tol=1e-6, max_iter=20_000) -> QpSolution:
-    """min c'z s.t. l <= Az <= u, with vertex polishing."""
-    c = np.asarray(c, dtype=float).ravel()
-    prob = QProblem(np.zeros((c.size, c.size)), c, A, l, u)
-    return solve(prob, tol=tol, max_iter=max_iter)

@@ -77,6 +77,21 @@ def test_missing_field_exit_two(tmp_path):
     assert cli.main(["--config", str(p)]) == 2
 
 
+def test_malformed_scores_csv_exit_two(tmp_path, capsys):
+    files = {
+        "short.csv": "lon,lat\n1.0,2.0\n",
+        "empty.csv": "",
+        "text.csv": "px,py,psi,ax,ay\n0,0,0,1,1\n0,0,zero,1,1\n",
+    }
+    for name, text in files.items():
+        csv_path = tmp_path / name
+        csv_path.write_text(text)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"task": "conformal", "scores_csv": str(csv_path)}))
+        assert cli.main(["--config", str(job)]) == 2
+        assert name in capsys.readouterr().err
+
+
 def test_requires_exactly_one_mode(tmp_path):
     assert cli.main([]) == 2
     p = tmp_path / "job.json"

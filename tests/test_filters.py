@@ -64,6 +64,22 @@ def test_clf_check_stabilizable():
     assert rep["inf_lie_derivative"] <= rep["threshold"] + 1e-9
 
 
+def test_clf_check_matches_box_vertex_minimum():
+    # the second input column is zero at x, so its coefficient is exactly 0
+    ode = dyn.linear_ode(np.array([[0.2, -1.0], [0.5, 0.1]]), np.array([[1.0, 0.0], [-2.0, 0.0]]))
+    clf = filters.quadratic_clf(np.eye(2), kappa_v=0.5)
+    x = np.array([0.5, 0.3])
+    box = geom.Box([-1.0, 0.5], [2.0, 3.0])
+    rep = filters.clf_check(ode, x, clf, box)
+    gv = clf.gradient(x)
+    brute = min(
+        float(gv @ (ode.f(x) + ode.g(x) @ np.array(u)))
+        for u in [(a, b) for a in (-1.0, 2.0) for b in (0.5, 3.0)]
+    )
+    assert rep["inf_lie_derivative"] == pytest.approx(brute, abs=1e-12)
+    assert rep["minimizer_u"] == [2.0, 0.5]
+
+
 def test_clf_gradient_finite_difference_without_grad():
     clf = filters.ClfSpec(lambda x: float(x @ x), None)
     x = np.array([0.5, -1.5, 2.0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from certikit import geom, milp, nn
 from certikit.errors import UnboundedRegion, UnsupportedActivation, UnsupportedModel
@@ -67,6 +68,75 @@ def test_matches_activation_pattern_oracle():
         assert abs(out.bound - oracle) <= 1e-5 * (1 + abs(oracle))
 
 
+def _random_1x8(rng, n_in):
+    net = nn.Mlp(
+        (
+            nn.Layer(rng.normal(size=(8, n_in)), rng.normal(size=8), "relu"),
+            nn.Layer(rng.normal(size=(1, 8)), rng.normal(size=1), "identity"),
+        )
+    )
+    lo = rng.uniform(-2.0, 0.0, n_in)
+    return net, geom.Box(lo, lo + rng.uniform(0.5, 2.0, n_in))
+
+
+def test_certified_bound_never_below_exact_max():
+    # 1-8-1 and 2-8-1 nets: a Certified bound must hold to rounding, well
+    # below the LP solver's own tolerances
+    for s in range(90):
+        rng = np.random.default_rng(1000 + s)
+        for n_in in (1, 2):
+            net, box = _random_1x8(rng, n_in)
+            out = milp.maximize_output(net, box)
+            oracle, _ = pattern_enumeration_max(net, box)
+            assert out.status == "Certified"
+            assert out.bound >= oracle - 1e-12
+
+
+def test_dual_bound_valid_for_perturbed_multipliers():
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        net, box = _random_1x8(rng, int(rng.integers(1, 3)))
+        model = milp.encode_network(net, box)
+        res = linprog(
+            -model.objective,
+            A_ub=model.A,
+            b_ub=model.b,
+            bounds=np.column_stack([model.lo, model.hi]),
+            method="highs",
+        )
+        y = np.maximum(-res.ineqlin.marginals, 0.0)
+        truncated = y.copy()
+        truncated[rng.random(y.size) < 0.3] = 0.0
+        oracle, _ = pattern_enumeration_max(net, box)
+        for yp in (
+            y,
+            3.0 * y,
+            np.maximum(y + 1e-3 * rng.normal(size=y.size), 0.0),
+            truncated,
+            np.round(y, 3),
+            y.astype(np.float32).astype(float),
+        ):
+            bound = milp.dual_bound(model.objective, model.A, model.b, model.lo, model.hi, yp)
+            assert bound >= oracle - 1e-12
+
+
+def test_contradicting_binaries_prune_node():
+    # relu(x - 0.5) and relu(-x - 0.5) cannot both be active on [-1, 1]
+    net = relu_net(
+        [([[1.0], [-1.0]], [-0.5, -0.5], "relu"), ([[1.0, 1.0]], [0.0], "identity")]
+    )
+    model = milp.encode_network(net, geom.Box([-1.0], [1.0]))
+    assert model.binary_idx.size == 2
+    lo, hi = model.lo.copy(), model.hi.copy()
+    lo[model.binary_idx] = 1.0
+    assert milp._node_lp(model, lo, hi) is None
+    y, _ = milp._elastic_lp(model, lo, hi)
+    assert milp.dual_bound(np.zeros(model.n_vars), model.A, model.b, lo, hi, y) < 0
+    out = milp.maximize_output(net, geom.Box([-1.0], [1.0]))
+    assert out.status == "Certified"
+    assert out.bound == pytest.approx(0.5, abs=1e-9)
+
+
 def test_hpolytope_region():
     # x0 + x1 <= 1 inside the unit box; maximize x0 + x1 via a linear net
     net = relu_net([([[1.0, 1.0]], [0.0], "identity")])
@@ -82,6 +152,12 @@ def test_unbounded_region_rejected():
     net = relu_net([([[1.0]], [0.0], "identity")])
     with pytest.raises(UnboundedRegion):
         milp.maximize_output(net, geom.HPolytope(np.array([[1.0]]), np.array([1.0])))
+
+
+def test_empty_polytope_region_rejected():
+    net = relu_net([([[1.0]], [0.0], "identity")])
+    with pytest.raises(ValueError, match="empty"):
+        milp.maximize_output(net, geom.HPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])))
 
 
 def test_unsupported_activation_rejected():
@@ -166,3 +242,4 @@ def test_lp_export_contains_binaries():
     text = milp.export_lp_text(model)
     assert text.startswith("Maximize")
     assert "Binary" in text and "End" in text
+    assert "Bounds\n -1 <= v0 <= 1\n" in text

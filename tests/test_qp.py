@@ -77,13 +77,6 @@ def test_dual_infeasible_unbounded_lp():
     assert d is not None and prob.q @ d < 0
 
 
-def test_solve_lp_hits_vertex():
-    # min -x0 - x1 on the unit box -> (1, 1)
-    sol = qp.solve_lp(np.array([-1.0, -1.0]), np.eye(2), np.zeros(2), np.ones(2))
-    assert sol.status == "Optimal"
-    np.testing.assert_allclose(sol.z, [1.0, 1.0], atol=1e-6)
-
-
 def test_warm_start_speeds_repeat_solve():
     rng = np.random.default_rng(5)
     P, q, A, l, u = random_feasible_qp(rng)
