@@ -83,11 +83,23 @@ def _require(cfg, key, kind=None):
     return v
 
 
+def _read_file(key, path, load, **kwargs):
+    """load(path, **kwargs); a file that cannot be opened or parsed is a config error."""
+    try:
+        return load(path, **kwargs)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"config field '{key}': cannot read {path}: {e}") from e
+
+
+def _load_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def _load_matrix(cfg, key):
     v = _require(cfg, key)
     if isinstance(v, str):
-        with open(v) as f:
-            v = json.load(f)
+        v = _read_file(key, v, _load_json)
     try:
         return np.array(v, dtype=float)
     except (TypeError, ValueError) as e:
@@ -97,13 +109,13 @@ def _load_matrix(cfg, key):
 def _load_network(cfg, key="network"):
     v = _require(cfg, key)
     if isinstance(v, str):
-        return nn.load_network(v)
+        return _read_file(key, v, nn.load_network)
     return nn.network_from_dict(v)
 
 
 def _box_from_cfg(cfg, key="region"):
     v = _require(cfg, key, dict)
-    return geom.Box(np.array(v["lower"], dtype=float), np.array(v["upper"], dtype=float))
+    return geom.Box(*(np.array(_require(v, k), dtype=float) for k in ("lower", "upper")))
 
 
 # -- task handlers ---------------------------------------------------------
@@ -126,14 +138,17 @@ def _task_reach(cfg, seed, started):
     if method == "interval":
         res = reach.propagate_interval(model, box, steps)
     elif method == "sampled":
-        rcfg = reach.ReachConfig(
-            steps=steps,
-            template=cfg.get("template", "ball_union"),
-            n_samples=int(cfg.get("n_samples", 200)),
-            eps=float(cfg.get("eps", 0.05)),
-            delta=float(cfg.get("delta", 0.1)),
-            seed=seed,
-        )
+        try:
+            rcfg = reach.ReachConfig(
+                steps=steps,
+                template=cfg.get("template", "ball_union"),
+                n_samples=int(cfg.get("n_samples", 200)),
+                eps=float(cfg.get("eps", 0.05)),
+                delta=float(cfg.get("delta", 0.1)),
+                seed=seed,
+            )
+        except ValueError as e:
+            raise ConfigError(f"reach config: {e}") from e
         res = reach.reach_sampled(model, box, rcfg)
     else:
         raise ConfigError(f"unknown reach method '{method}'")
@@ -217,7 +232,7 @@ def _task_filter_sim(cfg, seed, started):
 def _task_conformal(cfg, seed, started):
     delta = float(cfg.get("delta", 0.1))
     if "scores_csv" in cfg:
-        lon, lat = conformal.load_score_csv(cfg["scores_csv"])
+        lon, lat = _read_file("scores_csv", cfg["scores_csv"], conformal.load_score_csv)
         cal_lon, cal_lat = conformal.calibrate_2d(lon, lat, delta)
         cal_out = {"lon": cal_lon.to_dict(), "lat": cal_lat.to_dict()}
         passed = True
@@ -249,7 +264,7 @@ def _task_gpphs(cfg, seed, started):
 
 def GpPhsDatasetFromCfg(cfg) -> gpphs.GpPhsDataset:
     if "dataset_csv" in cfg:
-        raw = np.loadtxt(cfg["dataset_csv"], delimiter=",", skiprows=1, ndmin=2)
+        raw = _read_file("dataset_csv", cfg["dataset_csv"], np.loadtxt, delimiter=",", skiprows=1, ndmin=2)
         d = int(cfg.get("state_dim", raw.shape[1] - 1))
         t = raw[:, 0]
         X = raw[:, 1 : 1 + d]

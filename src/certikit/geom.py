@@ -1,17 +1,18 @@
 """Geometric set representations, template fitting, and set metrics.
 
 All regions are immutable and JSON-serializable (tagged by a "kind" field).
-Membership in the convex hull of a point cloud is decided by LP feasibility;
-box padding is per-coordinate (an outer approximation of the 2-norm pad),
-while BallUnion keeps exact 2-norm semantics.
+The distance to (and membership in) the convex hull of a point cloud is one
+exact Lawson-Hanson NNLS solve; box padding is per-coordinate (an outer
+approximation of the 2-norm pad), while BallUnion keeps exact 2-norm semantics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
+from scipy.spatial.distance import directed_hausdorff
 
-from .errors import DimensionMismatch, NegativeRadius
+from .errors import DimensionMismatch, NegativeRadius, NoConvergence
 
 __all__ = [
     "Box",
@@ -20,6 +21,7 @@ __all__ = [
     "PointSet",
     "BallUnion",
     "contains",
+    "hull_distance",
     "pad",
     "fit_oriented_box",
     "hausdorff",
@@ -27,9 +29,6 @@ __all__ = [
     "region_from_dict",
     "sample_region",
 ]
-
-HULL_LP_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class Box:
@@ -150,21 +149,23 @@ def _check_dim(region, x):
     return x
 
 
-def hull_membership_lp(points: np.ndarray, x: np.ndarray, tol=HULL_LP_TOL):
-    """Feasibility LP: exists lam >= 0, sum lam = 1, P'lam = x."""
-    pts = np.atleast_2d(points)
-    k = pts.shape[0]
-    # rows: convex-combination equalities and simplex normalization
-    A_eq = np.vstack([pts.T, np.ones((1, k))])
-    res = linprog(np.zeros(k), A_eq=A_eq, b_eq=np.append(x, 1.0), bounds=(0.0, 1.0), method="highs")
-    if res.status != 0:
-        return False
-    lam = np.clip(res.x, 0.0, None)
-    s = lam.sum()
-    if s <= 0:
-        return False
-    lam = lam / s
-    return bool(np.linalg.norm(pts.T @ lam - x) <= tol * (1.0 + np.linalg.norm(x)))
+def hull_distance(points: np.ndarray, x: np.ndarray) -> float:
+    """Euclidean distance from x to the convex hull of a finite point set.
+
+    One Lawson-Hanson NNLS solve, mu = argmin_{mu >= 0} ||D mu||^2 + (1'mu - 1)^2
+    with D = (points - x)' scaled by max(1, max|D|). Writing mu = t nu with nu
+    on the simplex, the best t leaves ||D nu||^2 / (1 + ||D nu||^2), which grows
+    with ||D nu||; so nu = mu / 1'mu weighs the hull point nearest to x.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x = np.asarray(x, dtype=float).ravel()
+    D = (pts - x).T
+    A = np.vstack([D / max(1.0, np.max(np.abs(D))), np.ones(len(pts))])
+    try:
+        mu, _ = nnls(A, np.append(np.zeros(x.size), 1.0))
+    except RuntimeError as e:
+        raise NoConvergence(f"hull distance NNLS: {e}") from e
+    return float(np.linalg.norm(pts.T @ (mu / mu.sum()) - x))
 
 
 def contains(region, x, tol=1e-9) -> bool:
@@ -180,7 +181,7 @@ def contains(region, x, tol=1e-9) -> bool:
         d2 = np.sum((region.centers.points - x) ** 2, axis=1)
         return bool(np.min(d2) <= (region.radius + tol) ** 2)
     if isinstance(region, PointSet):
-        return hull_membership_lp(region.points, x)
+        return hull_distance(region.points, x) <= tol * (1.0 + np.linalg.norm(x))
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
@@ -249,9 +250,7 @@ def hausdorff(a: PointSet, b: PointSet) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch("point sets must share a dimension")
     pa, pb = a.points, b.points
-    d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-    d = np.sqrt(d2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(directed_hausdorff(pa, pb)[0], directed_hausdorff(pb, pa)[0]))
 
 
 def sample_region(region, n: int, rng: np.random.Generator) -> np.ndarray:

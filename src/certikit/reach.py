@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import spatial
 
-from . import dyn, geom, nn, qp
+from . import dyn, geom, nn
 from .errors import NotFixedPoint, SampleSizeOverflow, UnsupportedModel
 
 __all__ = [
@@ -139,30 +138,7 @@ def network_preactivation_bounds(net: nn.Mlp, x0: geom.Box):
 # -- sampling-based reachability ------------------------------------------
 
 
-def hull_distance(points: np.ndarray, x: np.ndarray, tol=1e-8) -> float:
-    """Euclidean distance from x to the convex hull of a finite point set."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    # the hull of the vertices is the hull of the set, so reducing large
-    # clouds to their hull vertices keeps the projection QP small and exact
-    if pts.shape[0] > 64 and 2 <= pts.shape[1] <= 6:
-        try:
-            pts = pts[spatial.ConvexHull(pts).vertices]
-        except spatial.QhullError:
-            pass  # degenerate cloud (e.g. collinear): fall back to all points
-    G = pts.T  # n x k
-    k = G.shape[1]
-    x = np.asarray(x, dtype=float).ravel()
-    P = G.T @ G
-    P = P + 1e-12 * np.eye(k)
-    q = -G.T @ x
-    A = np.vstack([np.ones((1, k)), np.eye(k)])
-    l = np.concatenate([[1.0], np.zeros(k)])
-    u = np.concatenate([[1.0], np.ones(k)])
-    sol = qp.solve(qp.QProblem(P, q, A, l, u), tol=tol)
-    lam = np.clip(sol.z, 0.0, None)
-    s = lam.sum()
-    lam = lam / s if s > 0 else lam
-    return float(np.linalg.norm(G @ lam - x))
+hull_distance = geom.hull_distance
 
 
 def _template_region(samples: np.ndarray, template: str, eps: float):

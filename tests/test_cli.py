@@ -92,6 +92,29 @@ def test_malformed_scores_csv_exit_two(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
+REGION = {"lower": [-1.0], "upper": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"task": "certify", "matrix": "missing.json"},
+        {"task": "conformal", "scores_csv": "missing.csv"},
+        {"task": "verify-nn", "network": "missing.json", "region": REGION},
+        {"task": "gpphs", "dataset_csv": "missing.csv"},
+        {"task": "reach", "matrix": [[0.5]], "region": {"lower": [-1.0]}},
+        {"task": "reach", "matrix": [[0.5]], "region": REGION, "method": "sampled", "template": "hull"},
+    ],
+    ids=["certify-matrix", "conformal-csv", "verify-nn-network", "gpphs-csv", "region-upper", "template"],
+)
+def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
+    monkeypatch.chdir(tmp_path)  # the relative file names above do not exist there
+    code, report = run_main(tmp_path, config)
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err.startswith("certikit: ")
+
+
 def test_requires_exactly_one_mode(tmp_path):
     assert cli.main([]) == 2
     p = tmp_path / "job.json"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from certikit import geom
 from certikit.errors import DimensionMismatch, NegativeRadius
@@ -24,6 +25,54 @@ def test_hull_membership():
     assert geom.contains(ps, [0.25, 0.25])
     assert geom.contains(ps, [0.5, 0.5])  # on the hull boundary
     assert not geom.contains(ps, [0.6, 0.6])
+
+
+def _polygon_distance(pts, x):
+    """Exact distance from x to the convex polygon spanned by pts: zero when
+    no Qhull facet equation is violated, else the nearest hull edge."""
+    hull = ConvexHull(pts)
+    if np.all(hull.equations[:, :2] @ x + hull.equations[:, 2] <= 0.0):
+        return 0.0
+    v = pts[hull.vertices]
+    best = np.inf
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        t = np.clip((x - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        best = min(best, np.linalg.norm(a + t * (b - a) - x))
+    return best
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_hull_distance_exact_on_polygons(scale):
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        pts = scale * rng.normal(size=(int(rng.integers(3, 80)), 2))
+        for x in scale * rng.normal(size=(4, 2)) * 1.5:
+            exact = _polygon_distance(pts, x)
+            assert abs(geom.hull_distance(pts, x) - exact) <= 1e-9 * scale
+
+
+def test_hull_distance_degenerate_clouds():
+    # a single point
+    assert geom.hull_distance(np.array([[1.0, 2.0]]), np.array([4.0, 6.0])) == pytest.approx(5.0, rel=1e-14)
+    assert geom.contains(geom.PointSet(np.array([[1.0, 2.0]])), [1.0, 2.0])
+    # duplicates of the segment [(0, 0), (2, 0)]
+    dup = np.repeat(np.array([[0.0, 0.0], [2.0, 0.0]]), 10, axis=0)
+    assert geom.hull_distance(dup, np.array([1.0, 3.0])) == pytest.approx(3.0, rel=1e-14)
+    assert geom.hull_distance(dup, np.array([-4.0, 3.0])) == pytest.approx(5.0, rel=1e-14)
+    # collinear points on y = 2x, t in [0, 1]
+    t = np.linspace(0.0, 1.0, 25)
+    line = np.column_stack([t, 2.0 * t])
+    assert geom.hull_distance(line, np.array([0.5, 1.0])) <= 1e-15
+    assert geom.hull_distance(line, np.array([2.0, -1.0])) == pytest.approx(np.sqrt(5.0), rel=1e-14)
+    assert geom.hull_distance(line, np.array([2.0, 2.0])) == pytest.approx(1.0, rel=1e-14)
+    assert geom.contains(geom.PointSet(line), [0.25, 0.5])
+    assert not geom.contains(geom.PointSet(line), [0.25, 0.51])
+    # a 2000-point 1-D cloud
+    cloud = np.random.default_rng(3).uniform(-1.0, 3.0, size=(2000, 1))
+    assert geom.hull_distance(cloud, np.array([5.0])) == pytest.approx(5.0 - cloud.max(), rel=1e-14)
+    assert geom.hull_distance(cloud, np.array([-2.0])) == pytest.approx(cloud.min() + 2.0, rel=1e-14)
+    assert geom.hull_distance(cloud, np.array([0.5])) <= 1e-14
+    assert geom.contains(geom.PointSet(cloud), [cloud.max()])
 
 
 def test_ball_union_contains():
@@ -86,6 +135,17 @@ def test_hausdorff_symmetric_and_zero_on_self():
     assert geom.hausdorff(a, a) == 0.0
     assert geom.hausdorff(a, b) == pytest.approx(1.0)
     assert geom.hausdorff(a, b) == geom.hausdorff(b, a)
+
+
+def test_hausdorff_matches_broadcast_formula_bitwise():
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3, 4):
+        for n, m in ((1, 1), (1, 17), (23, 1), (40, 60)):
+            pa = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+            pb = rng.normal(size=(m, dim))
+            d = np.sqrt(np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2))
+            old = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+            assert geom.hausdorff(geom.PointSet(pa), geom.PointSet(pb)) == old
 
 
 def test_sample_region_box_inside_and_deterministic():

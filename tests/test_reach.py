@@ -3,6 +3,7 @@ and invariant-set estimation."""
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from certikit import dyn, geom, nn, reach
 from certikit.errors import NotFixedPoint, SampleSizeOverflow, UnsupportedModel
@@ -72,6 +73,26 @@ def test_hull_distance_values():
     assert reach.hull_distance(tri, np.array([1.0, 1.0])) == pytest.approx(
         np.sqrt(0.5), abs=1e-4
     )
+
+
+def test_sample_hull_containment_matches_facet_equations():
+    """Fresh-sample containment of the sampled hull equals the rate read off
+    Qhull's facet equations (eps = 0: no slack beyond the 1e-7 tolerance)."""
+    model = dyn.LinearMap(np.array([[1.0, 0.3], [0.0, 0.2]]))
+    x0 = geom.Box([-1.0, -1.0], [1.0, 1.0])
+    cfg = reach.ReachConfig(steps=2, template="sample_hull", n_samples=100, eps=0.0, seed=1)
+    res = reach.reach_sampled(model, x0, cfg)
+    # the fresh samples reach_sampled draws after its cloud
+    rng = np.random.default_rng(1)
+    geom.sample_region(x0, 100, rng)
+    F = geom.sample_region(x0, 100, rng)
+    F = np.array([dyn.step(model, dyn.step(model, x)) for x in F])
+    eq = ConvexHull(res.regions[2].points).equations
+    margin = np.max(F @ eq[:, :2].T + eq[:, 2], axis=1)
+    assert np.min(np.abs(margin)) > 1e-6  # no sample is ambiguous
+    exact = float(np.mean(margin <= 0.0))
+    assert exact == pytest.approx(0.79)
+    assert res.metadata["fresh_containment"][1] == exact
 
 
 @pytest.mark.parametrize("template", ["interval", "pca_box", "sample_hull", "ball_union"])
