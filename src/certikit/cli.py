@@ -115,7 +115,10 @@ def _load_network(cfg, key="network"):
 
 def _box_from_cfg(cfg, key="region"):
     v = _require(cfg, key, dict)
-    return geom.Box(*(np.array(_require(v, k), dtype=float) for k in ("lower", "upper")))
+    try:
+        return geom.Box(*(np.array(_require(v, k), dtype=float) for k in ("lower", "upper")))
+    except ValueError as e:  # non-numeric bounds, or lower > upper
+        raise ConfigError(f"config field '{key}': {e}") from e
 
 
 # -- task handlers ---------------------------------------------------------

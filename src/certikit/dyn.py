@@ -382,22 +382,27 @@ def simulate_ode(sys, x0, u_seq, dt) -> Trajectory:
     states = np.empty((n_steps + 1, x.size))
     inputs = np.empty((n_steps + 1, sys.input_dim))
     states[0] = x
-    for k in range(n_steps):
-        u = np.asarray(u_seq[k], dtype=float).ravel()
-        if u.size != sys.input_dim:
-            raise DimensionMismatch("input dimension mismatch")
-        if isinstance(sys, BicycleModel):
-            u = sys.clamp(u)
-        inputs[k] = u
-        k1 = _rhs(sys, x, u)
-        k2 = _rhs(sys, x + 0.5 * dt * k1, u)
-        k3 = _rhs(sys, x + 0.5 * dt * k2, u)
-        k4 = _rhs(sys, x + dt * k3, u)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"state diverged at step {k + 1}", step=k + 1)
-        states[k + 1] = x
-        inputs[k + 1] = u
+    # finiteness is checked once, after the loop; arithmetic past a
+    # divergence only produces inf/nan, so it runs quietly
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            u = np.asarray(u_seq[k], dtype=float).ravel()
+            if u.size != sys.input_dim:
+                raise DimensionMismatch("input dimension mismatch")
+            if isinstance(sys, BicycleModel):
+                u = sys.clamp(u)
+            inputs[k] = u
+            k1 = _rhs(sys, x, u)
+            k2 = _rhs(sys, x + 0.5 * dt * k1, u)
+            k3 = _rhs(sys, x + 0.5 * dt * k2, u)
+            k4 = _rhs(sys, x + dt * k3, u)
+            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states[k + 1] = x
+            inputs[k + 1] = u
+    bad = ~np.isfinite(states[1:]).all(axis=1)
+    if bad.any():
+        step = int(np.argmax(bad)) + 1
+        raise NonFiniteState(f"state diverged at step {step}", step=step)
     return Trajectory(times, states, inputs)
 
 

@@ -2,8 +2,7 @@
 predictive safety filter.
 
 Class-K gains are restricted to the linear form alpha(s) = kappa * s so that
-every filter solve stays a convex QP. Each filter holds a private
-warm-started QP solver instance; use one filter per control loop.
+every filter solve stays a convex QP, solved exactly by `qp.solve`.
 """
 
 from dataclasses import dataclass
@@ -131,7 +130,7 @@ class PsfConfig:
 
 
 class CbfFilter:
-    """Minimal-deviation CBF QP filter with a private warm-started solver."""
+    """Minimal-deviation CBF QP filter (Ames et al., ECC 2019)."""
 
     def __init__(self, sys: dyn.ControlAffineODE, barriers, u_box: geom.Box):
         if isinstance(barriers, BarrierSpec):
@@ -139,9 +138,6 @@ class CbfFilter:
         self.sys = sys
         self.barriers = list(barriers)
         self.u_box = u_box
-        # a loose ADMM tolerance plus the exact active-set polish is both
-        # faster and more accurate here than tight splitting iterations
-        self.solver = qp.AdmmSolver(tol=1e-6, rho=1.0)
 
     def filter(self, x, u_nom):
         x = np.asarray(x, dtype=float).ravel()
@@ -168,10 +164,8 @@ class CbfFilter:
         ):
             return u_nom.copy()
         prob = qp.QProblem(np.eye(m), -u_nom, A, np.concatenate(lo), np.concatenate(hi))
-        sol = self.solver.solve(prob)
-        if sol.status == "PrimalInfeasible" or (
-            sol.status == "MaxIter" and sol.primal_residual > 1e-6
-        ):
+        sol = qp.solve(prob)
+        if sol.status == "PrimalInfeasible":
             raise InfeasibleFilter(
                 "CBF constraint incompatible with input box at this state",
                 certificate=sol.certificate,
@@ -230,7 +224,6 @@ class PredictiveSafetyFilter:
     def __init__(self, model, cfg: PsfConfig):
         self.model = model
         self.cfg = cfg
-        self.solver = qp.AdmmSolver(tol=1e-9)
         self.terminal_defaulted = cfg.terminal_set is None
 
     def _build_qp(self, As, Bs, cs, x0, u_nom):
@@ -311,11 +304,9 @@ class PredictiveSafetyFilter:
 
     def _solve_linear(self, As, Bs, cs, x0, u_nom):
         prob, slack_pos, nv = self._build_qp(As, Bs, cs, x0, u_nom)
-        sol = self.solver.solve(prob)
+        sol = qp.solve(prob)
         if sol.status == "PrimalInfeasible":
             raise InfeasibleFilter("predictive safety filter infeasible", certificate=sol.certificate)
-        if sol.status == "MaxIter" and sol.primal_residual > 1e-6:
-            raise InfeasibleFilter("predictive safety filter did not converge")
         return sol, slack_pos, nv
 
     def filter(self, x, u_nom):

@@ -1,18 +1,40 @@
-"""Dense convex QP solver based on ADMM operator splitting.
+"""Dense convex QP solver: a least-distance active set, one KKT solve and a
+floating-point check of the answer.
 
 Solves  min 1/2 z'Pz + q'z  s.t.  l <= Az <= u  with P symmetric PSD.
-The iteration follows the standard splitting used by operator-splitting
-QP solvers: an (always solvable) regularized KKT step, projection of the
-constraint image onto [l, u], and a dual update with over-relaxation.
-Infeasibility is detected from the normalized divergence certificates of
-the successive-difference sequences.
+
+1. Proposal. With P + eps I = L L' (eps = 1e-10 max(1, max diag P)) and
+   z0 = -(P + eps I)^-1 q, the substitution v = L'(z - z0) turns the
+   regularised QP into the least-distance program min ||v|| s.t. G v >= h,
+   one row per finite bound. Lawson & Hanson ("Solving Least Squares
+   Problems", ch. 23) solve it with one NNLS call on [G'; h']. The rows with
+   a positive weight, plus the equality rows, are the proposed active set;
+   the regularised point itself is never returned.
+2. Answer. The KKT system of the original P on that active set, by lstsq.
+3. Check. The answer is Optimal when its primal violation and stationarity
+   residual are within a rounding bound and every active multiplier has the
+   right sign. Otherwise the most violated inactive row is added, or the
+   worst wrong-signed row dropped, and the KKT system solved again, at most
+   m + n times; when neither applies, the solve is repeated once with a step
+   of iterative refinement.
+
+PrimalInfeasible carries a Farkas vector y (A'y = 0, u'y+ + l'y- < 0) whose
+weights are re-solved on the NNLS support without the regularisation;
+DualInfeasible carries a ray d (d'Pd = 0, q'd < 0, Ad in the recession cone
+of [l, u]): the least-squares residual of the last KKT solve. Each is
+returned only after it passes its check in floating point; an NNLS residual
+alone decides nothing. Anything else raises NoConvergence.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import nnls
 
-__all__ = ["QProblem", "QpSolution", "AdmmSolver", "solve"]
+from .errors import NoConvergence
+
+__all__ = ["QProblem", "QpSolution", "LdpSolver", "solve"]
 
 _SYM_TOL = 1e-10
 
@@ -67,202 +89,149 @@ class QProblem:
 class QpSolution:
     z: np.ndarray
     dual: np.ndarray
-    status: str  # Optimal | PrimalInfeasible | DualInfeasible | MaxIter
+    status: str  # Optimal | PrimalInfeasible | DualInfeasible
     primal_residual: float
     dual_residual: float
-    iterations: int = 0
+    iterations: int = 0  # KKT solves
     objective: float = np.nan
     certificate: np.ndarray | None = None
 
 
-class AdmmSolver:
-    """Stateful dense ADMM solver with warm starting.
+def _ldp_support(prob):
+    """Rows with a positive NNLS weight in the least-distance program of the
+    regularised QP, as masks over the rows A z >= l and -A z >= -u."""
+    P, A, l, u, n = prob.P, prob.A, prob.l, prob.u, prob.n
+    lo, hi = np.flatnonzero(np.isfinite(l)), np.flatnonzero(np.isfinite(u))
+    on_lo, on_hi = np.zeros(prob.m, bool), np.zeros(prob.m, bool)
+    if lo.size + hi.size == 0:
+        return on_lo, on_hi  # scipy's nnls needs at least one column
+    S = np.vstack([A[lo], -A[hi]])
+    try:
+        L = np.linalg.cholesky(P + 1e-10 * max(1.0, np.max(np.diag(P), initial=0.0)) * np.eye(n))
+    except np.linalg.LinAlgError as e:
+        raise ValueError("P must be positive semidefinite") from e
+    z0 = -cho_solve((L, True), prob.q)
+    G = solve_triangular(L, S.T, lower=True).T  # S L^-T
+    h = np.concatenate([l[lo], -u[hi]]) - S @ z0
+    rho = np.linalg.norm(G, axis=1)
+    rho[rho == 0.0] = 1.0
+    try:
+        w, _ = nnls(np.vstack([G.T / rho, h / rho]), np.append(np.zeros(n), 1.0))
+    except RuntimeError as e:
+        raise NoConvergence(f"LDP NNLS: {e}") from e
+    on_lo[lo] = w[: lo.size] > 0
+    on_hi[hi] = w[lo.size :] > 0
+    return on_lo, on_hi
 
-    A solver instance keeps the last iterate and reuses it when the next
-    problem has matching dimensions; distinct instances are independent.
-    """
 
-    def __init__(self, tol=1e-6, max_iter=20_000, rho=0.1, sigma=1e-6, alpha=1.6):
-        self.tol = tol
-        self.max_iter = max_iter
-        self.rho0 = rho
-        self.sigma = sigma
-        self.alpha = alpha
-        self.eps_infeas = 1e-6
-        self.rho_bounds = (1e-6, 1e6)
-        self._warm = None  # (n, m, x, y, z)
+def _kkt(prob, act, b, refine):
+    """Least-squares solve of the KKT system of P on the rows in `act`, with
+    one step of iterative refinement when `refine` is set."""
+    Aa = prob.A[act]
+    k = Aa.shape[0]
+    KKT = np.block([[prob.P, Aa.T], [Aa, np.zeros((k, k))]])
+    rhs = np.concatenate([-prob.q, b[act]])
+    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+    if refine:
+        sol = sol + np.linalg.lstsq(KKT, rhs - KKT @ sol, rcond=None)[0]
+    y = np.zeros(prob.m)
+    y[act] = sol[prob.n :]
+    return sol[: prob.n], y
 
-    # -- internals ---------------------------------------------------------
 
-    def _factorize(self, P, A, rho_vec):
-        """Explicit inverse of the regularized KKT matrix.
+def _gamma(prob):
+    """Relative rounding bound of the checks: 16 units of roundoff per term of
+    the longest KKT row."""
+    return 16 * (prob.n + prob.m + 1) * np.finfo(float).eps
 
-        K is PD by construction (PSD + sigma I + A' rho A), so the inverse is
-        well defined; Cholesky validates definiteness first. The inverse is
-        applied many times per factorization and any residual error is caught
-        by the convergence checks on the original problem.
-        """
-        K = P + self.sigma * np.eye(P.shape[0]) + (A.T * rho_vec) @ A
-        try:
-            np.linalg.cholesky(K)
-            return np.linalg.inv(K)
-        except np.linalg.LinAlgError:
-            return None
 
-    def _residuals(self, prob, x, y, z):
-        r_prim = np.max(np.abs(prob.A @ x - z), initial=0.0)
-        r_dual = np.max(np.abs(prob.P @ x + prob.q + prob.A.T @ y), initial=0.0)
-        return r_prim, r_dual
+def _farkas(prob, on_lo, on_hi):
+    """A Farkas vector y (A'y = 0 and u'y+ + l'y- < 0 beyond rounding, so no z
+    has l <= Az <= u) from the NNLS support, whose weights are re-solved
+    without the regularisation: [A_lo', -A_hi'; l_lo', -u_hi'] w = e; or None."""
+    A, l, u = prob.A, prob.l, prob.u
+    E = np.vstack([np.hstack([A[on_lo].T, -A[on_hi].T]), np.concatenate([l[on_lo], -u[on_hi]])])
+    w, *_ = np.linalg.lstsq(E, np.append(np.zeros(prob.n), 1.0), rcond=None)
+    w = np.maximum(w, 0.0)
+    y = np.zeros(prob.m)
+    y[on_hi] += w[on_lo.sum() :]
+    y[on_lo] -= w[: on_lo.sum()]
+    gamma = _gamma(prob)
+    terms = np.where(y > 0, u, np.where(y < 0, l, 0.0)) * y
+    if terms.sum() + gamma * np.abs(terms).sum() >= 0:
+        return None
+    return y if np.max(np.abs(A.T @ y)) <= gamma * np.max(np.abs(A).T @ np.abs(y)) else None
 
-    def _primal_infeasible(self, prob, dy):
-        norm = np.max(np.abs(dy), initial=0.0)
-        if norm < 1e-12:
-            return False
-        eps = self.eps_infeas * norm
-        if np.max(np.abs(prob.A.T @ dy), initial=0.0) > eps:
-            return False
-        dy_p = np.maximum(dy, 0.0)
-        dy_m = np.minimum(dy, 0.0)
-        # infinite bounds must have zero multiplier mass for a valid ray
-        if np.any(np.isinf(prob.u) & (dy_p > eps)):
-            return False
-        if np.any(np.isinf(prob.l) & (dy_m < -eps)):
-            return False
-        up = np.where(np.isfinite(prob.u), prob.u, 0.0)
-        lo = np.where(np.isfinite(prob.l), prob.l, 0.0)
-        val = up @ dy_p + lo @ dy_m
-        return val <= -eps
 
-    def _dual_infeasible(self, prob, dx):
-        norm = np.max(np.abs(dx), initial=0.0)
-        if norm < 1e-12:
-            return False
-        eps = self.eps_infeas * norm
-        if np.max(np.abs(prob.P @ dx), initial=0.0) > eps:
-            return False
-        if prob.q @ dx > -eps:
-            return False
-        Adx = prob.A @ dx
-        ok_up = np.isinf(prob.u) | (Adx <= eps)
-        ok_lo = np.isinf(prob.l) | (Adx >= -eps)
-        return bool(np.all(ok_up & ok_lo))
+def _is_ray(prob, d):
+    """d'Pd = 0 (so Pd = 0), q'd < 0 and Ad in the recession cone of [l, u],
+    each beyond rounding: the objective is unbounded below along d."""
+    gamma = _gamma(prob)
+    absd = np.abs(d)
+    if d @ prob.P @ d > gamma * (absd @ np.abs(prob.P) @ absd):
+        return False
+    if prob.q @ d + gamma * (np.abs(prob.q) @ absd) >= 0:
+        return False
+    Ad = prob.A @ d
+    tol = gamma * np.max(np.abs(prob.A) @ absd, initial=0.0)
+    return bool(np.all((Ad <= tol) | np.isinf(prob.u)) and np.all((Ad >= -tol) | np.isinf(prob.l)))
 
-    def _polish(self, prob, x, y):
-        """Least-squares resolve on the detected active set."""
-        tol = max(10 * self.tol, 1e-7)
-        Ax = prob.A @ x
-        lo = (Ax - prob.l <= tol * (1 + np.abs(prob.l))) & np.isfinite(prob.l)
-        hi = (prob.u - Ax <= tol * (1 + np.abs(prob.u))) & np.isfinite(prob.u)
-        act = lo | hi
-        b = np.where(lo, prob.l, prob.u)[act]
-        Aa = prob.A[act]
-        k = Aa.shape[0]
-        n = prob.n
-        if k == 0:
-            if np.max(np.abs(prob.P), initial=0.0) == 0.0:
-                return None
-            try:
-                xp = np.linalg.solve(prob.P + 1e-12 * np.eye(n), -prob.q)
-            except np.linalg.LinAlgError:
-                return None
-            return xp, np.zeros(prob.m)
-        KKT = np.block([[prob.P, Aa.T], [Aa, np.zeros((k, k))]])
-        rhs = np.concatenate([-prob.q, b])
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        xp = sol[:n]
-        yp = np.zeros(prob.m)
-        yp[act] = sol[n:]
-        return xp, yp
 
-    # -- public API --------------------------------------------------------
+class LdpSolver:
+    """Stateless exact QP solver: LDP active set, KKT solve, checked answer."""
 
-    def solve(self, prob: QProblem, warm_start=True) -> QpSolution:
+    def solve(self, prob: QProblem) -> QpSolution:
+        P, q, A, l, u = prob.P, prob.q, prob.A, prob.l, prob.u
         n, m = prob.n, prob.m
-        if warm_start and self._warm is not None and self._warm[0] == (n, m):
-            _, x, y, z = self._warm
-            x, y, z = x.copy(), y.copy(), z.copy()
-        else:
-            x = np.zeros(n)
-            y = np.zeros(m)
-            z = np.clip(np.zeros(m), prob.l, prob.u)
-
-        eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-10)
-        rho = self.rho0
-        rho_vec = np.where(eq, 1e3 * rho, rho)
-        L = self._factorize(prob.P, prob.A, rho_vec)
-
-        best = (np.inf, x.copy(), y.copy())
-        it = 0
-        status = "MaxIter"
-        check_every = 25
-        for it in range(1, self.max_iter + 1):
-            x_prev, y_prev, z_prev = x, y, z
-            check = it <= 10 or it % check_every == 0 or it == self.max_iter
-            rhs = self.sigma * x - prob.q + prob.A.T @ (rho_vec * z - y)
-            if L is not None:
-                x_t = L @ rhs
+        on_lo, on_hi = _ldp_support(prob)
+        eq = l == u
+        act = eq | on_lo | on_hi
+        upper = on_hi.copy()  # the bound an active inequality row sits on
+        absA, absP = np.abs(A), np.abs(P)
+        row_norm = absA.sum(1)
+        gamma = _gamma(prob)
+        refine = False
+        for it in range(1, n + m + 2):
+            z, y = _kkt(prob, act, np.where(upper, u, l), refine)
+            Az = A @ z
+            viol = np.maximum(l - Az, Az - u)
+            stat = P @ z + q + A.T @ y
+            r_prim = max(float(np.max(viol, initial=0.0)), 0.0)
+            r_dual = float(np.max(np.abs(stat)))
+            # rounding bounds: per row for feasibility, over the gradient for
+            # stationarity; both scale with the whole KKT solution (z, y),
+            # since a least-squares solve's error is normwise over it
+            size = max(np.max(np.abs(z)), np.max(np.abs(y), initial=0.0))
+            tol_p = gamma * (row_norm * size + np.abs(np.clip(Az, l, u)))
+            tol_d = gamma * np.max(absP @ np.abs(z) + np.abs(q) + absA.T @ np.abs(y))
+            wrong = np.where(act & ~eq, np.where(upper, -y, y), 0.0)  # > 0: wrong sign
+            wrong_tol = 1e-12 * (1.0 + np.max(np.abs(y), initial=0.0))
+            if np.all(viol <= tol_p) and r_dual <= tol_d and np.all(wrong <= wrong_tol):
+                return QpSolution(z, y, "Optimal", r_prim, r_dual, it, float(prob.objective(z)))
+            if it == 1 and (cert := _farkas(prob, on_lo, on_hi)) is not None:
+                return QpSolution(z, y, "PrimalInfeasible", r_prim, r_dual, it, certificate=cert)
+            add = ~act & (viol > tol_p)
+            if add.any():
+                i = int(np.argmax(np.where(add, viol, -np.inf)))
+                act[i], upper[i] = True, Az[i] > u[i]
+            elif np.any(wrong > wrong_tol):
+                act[int(np.argmax(wrong))] = False
+            elif not refine:
+                refine = True  # the active set stands: refine its solve
+                continue
             else:
-                K = prob.P + self.sigma * np.eye(n) + (prob.A.T * rho_vec) @ prob.A
-                x_t, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            z_t = prob.A @ x_t
-            x = self.alpha * x_t + (1 - self.alpha) * x_prev
-            z_relax = self.alpha * z_t + (1 - self.alpha) * z_prev
-            z = np.clip(z_relax + y / rho_vec, prob.l, prob.u)
-            y = y + rho_vec * (z_relax - z)
-
-            if check:
-                r_prim, r_dual = self._residuals(prob, x, y, z)
-                score = r_prim + r_dual
-                if score < best[0]:
-                    best = (score, x.copy(), y.copy())
-                if r_prim <= self.tol and r_dual <= self.tol:
-                    status = "Optimal"
-                    break
-                if it % check_every == 0 and self._primal_infeasible(prob, y - y_prev):
-                    sol = QpSolution(x, y, "PrimalInfeasible", r_prim, r_dual, it)
-                    sol.certificate = y - y_prev
-                    return sol
-                if it % check_every == 0 and self._dual_infeasible(prob, x - x_prev):
-                    sol = QpSolution(x, y, "DualInfeasible", r_prim, r_dual, it)
-                    sol.certificate = x - x_prev
-                    return sol
-                # residual-ratio rho adaptation
-                if it % 100 == 0:
-                    denom = max(r_dual, 1e-12)
-                    ratio = np.sqrt(r_prim / denom)
-                    new_rho = float(np.clip(rho * ratio, *self.rho_bounds))
-                    if new_rho > 5 * rho or new_rho < rho / 5:
-                        rho = new_rho
-                        rho_vec = np.where(eq, 1e3 * rho, rho)
-                        L = self._factorize(prob.P, prob.A, rho_vec)
-
-        if status != "Optimal":
-            _, x, y = best
-
-        # polishing: exact resolve on the active set, keep it if it improves
-        polished = self._polish(prob, x, y)
-        if polished is not None:
-            xp, yp = polished
-            zp = np.clip(prob.A @ xp, prob.l, prob.u)
-            rp, rd = self._residuals(prob, xp, yp, zp)
-            feas = np.all(prob.A @ xp >= prob.l - 10 * self.tol) and np.all(
-                prob.A @ xp <= prob.u + 10 * self.tol
-            )
-            r_prim, r_dual = self._residuals(prob, x, y, np.clip(prob.A @ x, prob.l, prob.u))
-            if feas and rp + rd <= r_prim + r_dual:
-                x, y = xp, yp
-                r_prim, r_dual = rp, rd
-        else:
-            r_prim, r_dual = self._residuals(prob, x, y, np.clip(prob.A @ x, prob.l, prob.u))
-
-        if r_prim <= self.tol and r_dual <= self.tol:
-            status = "Optimal"
-        self._warm = ((n, m), x.copy(), y.copy(), np.clip(prob.A @ x, prob.l, prob.u))
-        return QpSolution(
-            x, y, status, float(r_prim), float(r_dual), it, objective=float(prob.objective(x))
-        )
+                break
+            refine = False
+        # a least-squares KKT residual lies in null(P) and null(A_active)
+        if _is_ray(prob, -stat):
+            return QpSolution(z, y, "DualInfeasible", r_prim, r_dual, it, certificate=-stat)
+        raise NoConvergence(f"QP answer not certified after {it} KKT solves")
 
 
-def solve(prob: QProblem, tol=1e-6, max_iter=20_000) -> QpSolution:
-    """One-shot QP solve (fresh solver instance, no warm start)."""
-    return AdmmSolver(tol=tol, max_iter=max_iter).solve(prob, warm_start=False)
+# bench/tracer.py wraps `qp.AdmmSolver.solve`; the next benchmark change drops this alias.
+AdmmSolver = LdpSolver
+
+
+def solve(prob: QProblem) -> QpSolution:
+    """Solve one QP (see the module docstring)."""
+    return LdpSolver().solve(prob)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the package's own solvers: the QP oracle enumerates
-active sets with plain numpy KKT solves, and the network-maximization oracle
-enumerates ReLU activation patterns with scipy's LP solver.
+active sets with plain numpy KKT solves, one network-maximization oracle
+enumerates ReLU activation patterns with scipy's LP solver, and the other
+evaluates a one-hidden-layer net at the vertices of its kink arrangement.
 """
 
 import itertools
@@ -116,6 +117,43 @@ def pattern_enumeration_max(net, box):
             if val > best:
                 best, best_x = val, np.asarray(res.x)
     return best, best_x
+
+
+def arrangement_vertex_max(net, box):
+    """Exact max of a one-hidden-layer ReLU net with identity scalar output
+    over a box of dimension 1 or 2, with a plain numpy forward pass.
+
+    The net is linear on every cell of the arrangement of its kinks
+    (w_j.x + b_j = 0) and the box faces, so its maximum sits at a cell
+    vertex: a box corner, a kink on a box edge, or two kinks crossing inside
+    the box. Returns (max, argmax).
+    """
+    (W1, b1, act1), (W2, b2, act2) = [(layer.W, layer.b, layer.activation) for layer in net.layers]
+    lo, hi = np.asarray(box.lower, dtype=float), np.asarray(box.upper, dtype=float)
+    n = lo.size
+    if act1 != "relu" or act2 != "identity" or W2.shape[0] != 1 or n > 2:
+        raise ValueError("oracle handles relu -> identity nets with 1 output and n_in <= 2")
+    pts = [np.array(c, dtype=float) for c in itertools.product(*zip(lo, hi))]
+    for j, (w, c0) in enumerate(zip(W1, b1)):
+        if n == 1:
+            if w[0] != 0:
+                pts.append(np.array([-c0 / w[0]]))
+            continue
+        for i, o in ((0, 1), (1, 0)):  # the kink on the edges x_i = lo_i and x_i = hi_i
+            if w[o] != 0:
+                for c in (lo[i], hi[i]):
+                    p = np.empty(2)
+                    p[i], p[o] = c, -(c0 + w[i] * c) / w[o]
+                    pts.append(p)
+        for k in range(j + 1, b1.size):
+            M = W1[[j, k]]
+            if np.linalg.det(M) != 0:
+                pts.append(np.linalg.solve(M, -b1[[j, k]]))
+    X = np.array(pts)
+    X = X[np.all((X >= lo) & (X <= hi), axis=1)]
+    vals = (np.maximum(X @ W1.T + b1, 0.0) @ W2.T + b2)[:, 0]
+    i = int(np.argmax(vals))
+    return float(vals[i]), X[i]
 
 
 def lp_feasible(A, l, u):

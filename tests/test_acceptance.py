@@ -105,7 +105,7 @@ def test_criterion_4_qp_solver_correctness():
     worst_res = 0.0
     for _ in range(200):
         P, q, A, l, u = random_feasible_qp(rng, n_max=6, m_max=10)
-        sol = qp.solve(qp.QProblem(P, q, A, l, u), tol=1e-8)
+        sol = qp.solve(qp.QProblem(P, q, A, l, u))
         assert sol.status == "Optimal"
         _, obj = active_set_oracle(P, q, A, l, u)
         worst_gap = max(worst_gap, abs(sol.objective - obj) / (1 + abs(obj)))

@@ -104,8 +104,17 @@ REGION = {"lower": [-1.0], "upper": [1.0]}
         {"task": "gpphs", "dataset_csv": "missing.csv"},
         {"task": "reach", "matrix": [[0.5]], "region": {"lower": [-1.0]}},
         {"task": "reach", "matrix": [[0.5]], "region": REGION, "method": "sampled", "template": "hull"},
+        {"task": "reach", "matrix": [[0.5]], "region": {"lower": [1.0], "upper": [0.0]}},
     ],
-    ids=["certify-matrix", "conformal-csv", "verify-nn-network", "gpphs-csv", "region-upper", "template"],
+    ids=[
+        "certify-matrix",
+        "conformal-csv",
+        "verify-nn-network",
+        "gpphs-csv",
+        "region-upper",
+        "template",
+        "region-order",
+    ],
 )
 def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
     monkeypatch.chdir(tmp_path)  # the relative file names above do not exist there

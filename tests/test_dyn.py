@@ -65,9 +65,23 @@ def test_rk4_order_slope():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_simulate_ode_diverging_raises_with_step():
     ode = dyn.linear_ode(np.array([[50.0]]))
+    # the same RK4 stages on a float64 scalar: the first step that overflows
+    x, expected = np.float64(1.0), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 2001):
+            k1 = 50.0 * x
+            k2 = 50.0 * (x + 0.5 * k1)
+            k3 = 50.0 * (x + 0.5 * k2)
+            k4 = 50.0 * (x + k3)
+            x = x + (1.0 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(x):
+                expected = k
+                break
+    assert expected is not None
     with pytest.raises(NonFiniteState) as exc:
         dyn.simulate_ode(ode, [1.0], np.zeros((2000, 1)), 1.0)
-    assert exc.value.step is not None
+    assert exc.value.step == expected
+    assert str(expected) in str(exc.value)
 
 
 def test_bicycle_clamps_inputs():

@@ -169,3 +169,31 @@ def test_psf_nonlinear_sqp_runs():
     assert diag["sqp_iterations"] >= 1
     assert diag.get("approximation") == "successive_linearization"
     assert -1.0 <= u0[0] <= 1.0
+
+
+def test_psf_double_integrator_qp_is_kkt_exact():
+    # the N = 10 double integrator of the filter-loop benchmark, pushed
+    # towards the wall p = 1 for 20 ticks by one filter
+    dt = 0.1
+    A = np.array([[1.0, dt], [0.0, 1.0]])
+    B = np.array([[0.5 * dt**2], [dt]])
+    cfg = filters.PsfConfig(
+        horizon=10,
+        state_set=geom.Box([-1.0, -1.0], [1.0, 1.0]),
+        input_set=geom.Box([-1.0], [1.0]),
+        terminal_set=geom.Box([-0.8, 0.0], [0.8, 0.0]),
+    )
+    flt = filters.PredictiveSafetyFilter(dyn.LinearMap(A, B), cfg)
+    x = np.array([0.2, 0.3])
+    braked = 0
+    for _ in range(20):
+        plan = ([A] * 10, [B] * 10, [np.zeros(2)] * 10, x, np.array([1.2]))
+        prob, _, _ = flt._build_qp(*plan)
+        sol, _, _ = flt._solve_linear(*plan)
+        assert sol.status == "Optimal"
+        Az = prob.A @ sol.z
+        assert max(np.max(prob.l - Az), np.max(Az - prob.u)) <= 1e-12
+        assert np.max(np.abs(prob.P @ sol.z + prob.q + prob.A.T @ sol.dual)) <= 1e-12
+        braked += sol.z[0] < 1.0 - 1e-6
+        x = A @ x + B @ sol.z[:1]
+    assert braked > 0

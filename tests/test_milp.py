@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from certikit import geom, milp, nn
 from certikit.errors import UnboundedRegion, UnsupportedActivation, UnsupportedModel
-from helpers_oracles import pattern_enumeration_max
+from helpers_oracles import arrangement_vertex_max, pattern_enumeration_max
 
 
 def relu_net(layers, rng=None):
@@ -81,13 +81,17 @@ def _random_1x8(rng, n_in):
 
 def test_certified_bound_never_below_exact_max():
     # 1-8-1 and 2-8-1 nets: a Certified bound must hold to rounding, well
-    # below the LP solver's own tolerances
+    # below the LP solver's own tolerances. The exact max comes from the kink
+    # arrangement; every 15th seed also checks it against the LP enumeration.
     for s in range(90):
         rng = np.random.default_rng(1000 + s)
         for n_in in (1, 2):
             net, box = _random_1x8(rng, n_in)
             out = milp.maximize_output(net, box)
-            oracle, _ = pattern_enumeration_max(net, box)
+            oracle, _ = arrangement_vertex_max(net, box)
+            if s % 15 == 0:
+                lp_max, _ = pattern_enumeration_max(net, box)
+                assert abs(oracle - lp_max) <= 1e-9 * (1 + abs(lp_max))
             assert out.status == "Certified"
             assert out.bound >= oracle - 1e-12
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certikit import qp
-from helpers_oracles import active_set_oracle, random_feasible_qp
+from helpers_oracles import active_set_oracle, lp_feasible, random_feasible_qp
 
 
 def test_known_box_qp():
@@ -22,7 +22,7 @@ def test_matches_active_set_oracle():
     rng = np.random.default_rng(42)
     for _ in range(25):
         P, q, A, l, u = random_feasible_qp(rng, n_max=5, m_max=8)
-        sol = qp.solve(qp.QProblem(P, q, A, l, u), tol=1e-8)
+        sol = qp.solve(qp.QProblem(P, q, A, l, u))
         assert sol.status == "Optimal"
         _, obj = active_set_oracle(P, q, A, l, u)
         assert abs(sol.objective - obj) <= 1e-5 * (1 + abs(obj))
@@ -32,7 +32,7 @@ def test_kkt_residuals_on_optimal():
     rng = np.random.default_rng(3)
     for _ in range(10):
         P, q, A, l, u = random_feasible_qp(rng)
-        sol = qp.solve(qp.QProblem(P, q, A, l, u), tol=1e-8)
+        sol = qp.solve(qp.QProblem(P, q, A, l, u))
         assert sol.status == "Optimal"
         assert sol.primal_residual <= 1e-6
         assert sol.dual_residual <= 1e-6
@@ -43,7 +43,7 @@ def test_equality_rows():
     prob = qp.QProblem(
         2 * np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0])
     )
-    sol = qp.solve(prob, tol=1e-9)
+    sol = qp.solve(prob)
     assert sol.status == "Optimal"
     np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-7)
 
@@ -77,14 +77,80 @@ def test_dual_infeasible_unbounded_lp():
     assert d is not None and prob.q @ d < 0
 
 
-def test_warm_start_speeds_repeat_solve():
-    rng = np.random.default_rng(5)
-    P, q, A, l, u = random_feasible_qp(rng)
-    solver = qp.AdmmSolver(tol=1e-8)
-    s1 = solver.solve(qp.QProblem(P, q, A, l, u))
-    s2 = solver.solve(qp.QProblem(P, q + 1e-6, A, l, u))
-    assert s2.status == "Optimal"
-    assert s2.iterations <= s1.iterations
+def _box_halfspace_qp(rng, kind):
+    """min 1/2 x'Px + q'x on a box cut by 1-3 random halfspaces (some cut the
+    box away). kind 1 adds degenerate rows: one through a box corner, its
+    duplicate and a scaled copy; kind 2 puts the unconstrained minimiser on a
+    box face, so an active row has a zero multiplier."""
+    n = int(rng.integers(2, 5))
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + 0.1 * np.eye(n)
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 2.0, n)
+    k = int(rng.integers(1, 4))
+    H = rng.normal(size=(k, n))
+    b = H @ rng.uniform(lo, hi) + rng.uniform(-0.5, 1.0, k)
+    q = 3.0 * rng.normal(size=n)
+    if kind == 1:
+        b[0] = H[0] @ np.where(rng.random(n) < 0.5, lo, hi)
+        H = np.vstack([H, H[0], 2.0 * H[0]])
+        b = np.concatenate([b, [b[0], 2.0 * b[0]]])
+    if kind == 2:
+        x_face = rng.uniform(lo, hi)
+        x_face[0] = hi[0]
+        q = -P @ x_face
+    A = np.vstack([np.eye(n), H])
+    return P, q, A, np.concatenate([lo, np.full(b.size, -np.inf)]), np.concatenate([hi, b])
+
+
+def test_box_halfspace_battery_answers_are_certified():
+    rng = np.random.default_rng(0)
+    statuses = set()
+    for trial in range(300):
+        P, q, A, l, u = _box_halfspace_qp(rng, trial % 3)
+        sol = qp.solve(qp.QProblem(P, q, A, l, u))
+        statuses.add(sol.status)
+        assert sol.status in ("Optimal", "PrimalInfeasible")
+        assert lp_feasible(A, l, u) == (sol.status == "Optimal")
+        if sol.status == "PrimalInfeasible":
+            y = sol.certificate
+            assert np.max(np.abs(A.T @ y)) <= 1e-12 * np.max(np.abs(A).T @ np.abs(y))
+            assert np.where(y > 0, u, np.where(y < 0, l, 0.0)) @ y < 0
+            continue
+        z, y = sol.z, sol.dual
+        Az = A @ z
+        # feasible to the rounding of the KKT solve, whose error scales with
+        # the whole solution (z, y); kind 1's nearly parallel rows reach |y| = 1e3
+        slack = 1e-12 * (1 + np.abs(A).sum(1) * max(np.max(np.abs(z)), np.max(np.abs(y))))
+        assert np.all(Az >= l - slack) and np.all(Az <= u + slack)
+        # exact to rounding by weak duality: y has the signs of the rows'
+        # finite bounds, so the dual value g(y) is a lower bound
+        assert np.all((y <= 0) | np.isfinite(u)) and np.all((y >= 0) | np.isfinite(l))
+        r = q + A.T @ y
+        dual = -0.5 * r @ np.linalg.solve(P, r) - np.where(y > 0, u, np.where(y < 0, l, 0.0)) @ y
+        assert sol.objective - dual <= 1e-10 * (1 + abs(sol.objective))
+        # the oracle keeps candidates up to 1e-7 outside the rows and shifts
+        # each KKT solve by its 1e-10 regularisation, which moves its objective
+        # by up to about 1e-7 |y|_1 + 1e-10 |y|^2 (7e-5 here, at |y| = 1e3)
+        _, obj = active_set_oracle(P, q, A, l, u)
+        assert abs(sol.objective - obj) <= 1e-5 * (1 + abs(obj)) + 1e-10 * (y @ y)
+    assert statuses == {"Optimal", "PrimalInfeasible"}
+
+
+def test_ill_conditioned_p_refines_the_kkt_solve():
+    # P with eigenvalues 1e-6 and 1e2: the first least-squares KKT solve on
+    # the right active set misses the stationarity bound, and one step of
+    # iterative refinement on the same active set meets it
+    rng = np.random.default_rng(34)
+    P, q, A, l, u = random_feasible_qp(rng, n_max=8, m_max=14)
+    _, V = np.linalg.eigh(P)
+    P = V @ np.diag([1e-6, 1e2]) @ V.T
+    prob = qp.QProblem(0.5 * (P + P.T), q, A, l, u)
+    sol = qp.solve(prob)
+    assert sol.status == "Optimal" and sol.iterations == 2
+    assert sol.dual_residual <= 1e-13
+    x, _ = active_set_oracle(prob.P, q, A, l, u)
+    np.testing.assert_allclose(sol.z, x, atol=1e-8)
 
 
 def test_validation_rejects_bad_problems():
@@ -102,6 +168,6 @@ def test_box_projection_property(target, data):
     n = t.size
     lo = np.array([data.draw(st.floats(-3, 0)) for _ in range(n)])
     hi = lo + np.array([data.draw(st.floats(0.5, 3)) for _ in range(n)])
-    sol = qp.solve(qp.QProblem(np.eye(n), -t, np.eye(n), lo, hi), tol=1e-9)
+    sol = qp.solve(qp.QProblem(np.eye(n), -t, np.eye(n), lo, hi))
     assert sol.status == "Optimal"
     np.testing.assert_allclose(sol.z, np.clip(t, lo, hi), atol=1e-6)
