@@ -138,6 +138,7 @@ class CbfFilter:
         self.sys = sys
         self.barriers = list(barriers)
         self.u_box = u_box
+        self._eye = np.eye(sys.input_dim)
 
     def filter(self, x, u_nom):
         x = np.asarray(x, dtype=float).ravel()
@@ -147,23 +148,20 @@ class CbfFilter:
             raise DimensionMismatch("u_nom dimension mismatch")
         f = self.sys.f(x)
         g = self.sys.g(x)
-        rows = [np.eye(m)]
-        lo = [self.u_box.lower]
-        hi = [self.u_box.upper]
-        for bar in self.barriers:
+        k = len(self.barriers)
+        A = np.concatenate((self._eye, np.empty((k, m))))
+        lo = np.concatenate((self.u_box.lower, np.empty(k)))
+        hi = np.concatenate((self.u_box.upper, np.full(k, np.inf)))
+        for i, bar in enumerate(self.barriers, m):
             gh = np.asarray(bar.grad_h(x), dtype=float).ravel()
             # gh.(f + g u) >= -kappa h  ->  (gh.g) u >= -kappa h - gh.f
-            rows.append((gh @ g)[None, :])
-            lo.append(np.array([-bar.kappa * bar.h(x) - gh @ f]))
-            hi.append(np.array([np.inf]))
-        A = np.vstack(rows)
+            A[i] = gh @ g
+            lo[i] = -bar.kappa * bar.h(x) - gh @ f
         # the nominal input is the QP optimum whenever it is already feasible
         Au = A @ u_nom
-        if np.all(Au >= np.concatenate(lo) - 1e-12) and np.all(
-            Au <= np.concatenate(hi) + 1e-12
-        ):
+        if (Au >= lo - 1e-12).all() and (Au <= hi + 1e-12).all():
             return u_nom.copy()
-        prob = qp.QProblem(np.eye(m), -u_nom, A, np.concatenate(lo), np.concatenate(hi))
+        prob = qp.QProblem(self._eye, -u_nom, A, lo, hi)
         sol = qp.solve(prob)
         if sol.status == "PrimalInfeasible":
             raise InfeasibleFilter(

@@ -261,6 +261,8 @@ def posterior(params: PhsKernelParams, data: GpPhsDataset, x_star):
     (input contribution G u excluded), cov_blocks is an M-list of d x d
     posterior covariance blocks.
     """
+    if data.n == 0:
+        raise InsufficientData("posterior needs at least one data row")
     Xq = np.atleast_2d(np.asarray(getattr(x_star, "points", x_star), dtype=float))
     d = params.dim
     K = gram(params, data.states, data.noise_var)

@@ -29,7 +29,7 @@ alone decides nothing. Anything else raises NoConvergence.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import nnls
 
 from .errors import NoConvergence
@@ -63,10 +63,12 @@ class QProblem:
         m = A.shape[0]
         if l.shape != (m,) or u.shape != (m,):
             raise ValueError("l, u must match the number of constraint rows")
-        if np.max(np.abs(P - P.T), initial=0.0) > _SYM_TOL * max(1.0, np.max(np.abs(P), initial=0.0)):
+        if not (np.isfinite(P).all() and np.isfinite(q).all() and np.isfinite(A).all()):
+            raise ValueError("P, q and A must be finite")
+        if np.abs(P - P.T).max(initial=0.0) > _SYM_TOL * max(1.0, np.abs(P).max(initial=0.0)):
             raise ValueError("P must be symmetric")
-        if np.any(l > u):
-            raise ValueError("require l <= u elementwise")
+        if not (l <= u).all():
+            raise ValueError("require l <= u elementwise, with no NaN bound")
         object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "A", A)
@@ -100,43 +102,45 @@ class QpSolution:
 def _ldp_support(prob):
     """Rows with a positive NNLS weight in the least-distance program of the
     regularised QP, as masks over the rows A z >= l and -A z >= -u."""
-    P, A, l, u, n = prob.P, prob.A, prob.l, prob.u, prob.n
-    lo, hi = np.flatnonzero(np.isfinite(l)), np.flatnonzero(np.isfinite(u))
-    on_lo, on_hi = np.zeros(prob.m, bool), np.zeros(prob.m, bool)
-    if lo.size + hi.size == 0:
-        return on_lo, on_hi  # scipy's nnls needs at least one column
-    S = np.vstack([A[lo], -A[hi]])
+    P, A, n, m = prob.P, prob.A, prob.n, prob.m
+    bound = np.concatenate((prob.l, -prob.u))  # the finite rows of [A; -A] z >= [l; -u]
+    fin = np.isfinite(bound)
+    S = np.concatenate((A, -A))[fin]
+    on = np.zeros(2 * m, bool)
+    if S.shape[0] == 0:
+        return on[:m], on[m:]  # scipy's nnls needs at least one column
     try:
-        L = np.linalg.cholesky(P + 1e-10 * max(1.0, np.max(np.diag(P), initial=0.0)) * np.eye(n))
+        L = np.linalg.cholesky(P + 1e-10 * max(1.0, P.diagonal().max(initial=0.0)) * np.eye(n))
     except np.linalg.LinAlgError as e:
         raise ValueError("P must be positive semidefinite") from e
-    z0 = -cho_solve((L, True), prob.q)
-    G = solve_triangular(L, S.T, lower=True).T  # S L^-T
-    h = np.concatenate([l[lo], -u[hi]]) - S @ z0
-    rho = np.linalg.norm(G, axis=1)
+    z0 = -dpotrs(L, prob.q, lower=1)[0]  # LAPACK directly: QProblem checked the input once
+    G = dtrtrs(L.T, S.T, lower=0, trans=1)[0].T  # S L^-T, as L^-1 S'
+    rho = np.sqrt((G * G).sum(1))
     rho[rho == 0.0] = 1.0
-    try:
-        w, _ = nnls(np.vstack([G.T / rho, h / rho]), np.append(np.zeros(n), 1.0))
-    except RuntimeError as e:
-        raise NoConvergence(f"LDP NNLS: {e}") from e
-    on_lo[lo] = w[: lo.size] > 0
-    on_hi[hi] = w[lo.size :] > 0
-    return on_lo, on_hi
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    try:  # nnls([G'; h'] / rho, e) with h = [l; -u] - S z0
+        w, _ = nnls(np.concatenate((G.T, (bound[fin] - S @ z0)[None])) / rho, e)
+    except RuntimeError as err:
+        raise NoConvergence(f"LDP NNLS: {err}") from err
+    on[fin] = w > 0
+    return on[:m], on[m:]
 
 
 def _kkt(prob, act, b, refine):
     """Least-squares solve of the KKT system of P on the rows in `act`, with
     one step of iterative refinement when `refine` is set."""
+    n = prob.n
     Aa = prob.A[act]
-    k = Aa.shape[0]
-    KKT = np.block([[prob.P, Aa.T], [Aa, np.zeros((k, k))]])
-    rhs = np.concatenate([-prob.q, b[act]])
-    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+    KKT = np.zeros((n + Aa.shape[0],) * 2)
+    KKT[:n, :n], KKT[:n, n:], KKT[n:, :n] = prob.P, Aa.T, Aa
+    rhs = np.concatenate((-prob.q, b[act]))
+    sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
     if refine:
         sol = sol + np.linalg.lstsq(KKT, rhs - KKT @ sol, rcond=None)[0]
     y = np.zeros(prob.m)
-    y[act] = sol[prob.n :]
-    return sol[: prob.n], y
+    y[act] = sol[n:]
+    return sol[:n], y
 
 
 def _gamma(prob):
@@ -165,16 +169,16 @@ def _farkas(prob, on_lo, on_hi):
 
 def _is_ray(prob, d):
     """d'Pd = 0 (so Pd = 0), q'd < 0 and Ad in the recession cone of [l, u],
-    each beyond rounding: the objective is unbounded below along d."""
+    each beyond rounding (so a NaN rejects d): the objective is unbounded below along d."""
     gamma = _gamma(prob)
     absd = np.abs(d)
-    if d @ prob.P @ d > gamma * (absd @ np.abs(prob.P) @ absd):
-        return False
-    if prob.q @ d + gamma * (np.abs(prob.q) @ absd) >= 0:
-        return False
     Ad = prob.A @ d
-    tol = gamma * np.max(np.abs(prob.A) @ absd, initial=0.0)
-    return bool(np.all((Ad <= tol) | np.isinf(prob.u)) and np.all((Ad >= -tol) | np.isinf(prob.l)))
+    tol = gamma * (np.abs(prob.A) @ absd).max(initial=0.0)
+    return bool(
+        d @ prob.P @ d <= gamma * (absd @ np.abs(prob.P) @ absd)
+        and prob.q @ d + gamma * (np.abs(prob.q) @ absd) < 0
+        and ((Ad <= tol) | np.isinf(prob.u)).all() and ((Ad >= -tol) | np.isinf(prob.l)).all()
+    )
 
 
 class LdpSolver:
@@ -187,7 +191,7 @@ class LdpSolver:
         eq = l == u
         act = eq | on_lo | on_hi
         upper = on_hi.copy()  # the bound an active inequality row sits on
-        absA, absP = np.abs(A), np.abs(P)
+        absA, absP, absq = np.abs(A), np.abs(P), np.abs(q)
         row_norm = absA.sum(1)
         gamma = _gamma(prob)
         refine = False
@@ -196,17 +200,18 @@ class LdpSolver:
             Az = A @ z
             viol = np.maximum(l - Az, Az - u)
             stat = P @ z + q + A.T @ y
-            r_prim = max(float(np.max(viol, initial=0.0)), 0.0)
-            r_dual = float(np.max(np.abs(stat)))
+            r_prim = float(viol.max(initial=0.0))
+            r_dual = float(np.abs(stat).max())
             # rounding bounds: per row for feasibility, over the gradient for
             # stationarity; both scale with the whole KKT solution (z, y),
             # since a least-squares solve's error is normwise over it
-            size = max(np.max(np.abs(z)), np.max(np.abs(y), initial=0.0))
-            tol_p = gamma * (row_norm * size + np.abs(np.clip(Az, l, u)))
-            tol_d = gamma * np.max(absP @ np.abs(z) + np.abs(q) + absA.T @ np.abs(y))
-            wrong = np.where(act & ~eq, np.where(upper, -y, y), 0.0)  # > 0: wrong sign
-            wrong_tol = 1e-12 * (1.0 + np.max(np.abs(y), initial=0.0))
-            if np.all(viol <= tol_p) and r_dual <= tol_d and np.all(wrong <= wrong_tol):
+            absy = np.abs(y)
+            size = max(np.abs(z).max(), absy.max(initial=0.0))
+            tol_p = gamma * (row_norm * size + np.abs(Az.clip(l, u)))
+            tol_d = gamma * (absP @ np.abs(z) + absq + absA.T @ absy).max()
+            wrong = np.where(eq, 0.0, np.where(upper, -y, y))  # > 0: wrong sign (y is 0 off act)
+            wrong_tol = 1e-12 * (1.0 + absy.max(initial=0.0))
+            if (viol <= tol_p).all() and r_dual <= tol_d and (wrong <= wrong_tol).all():
                 return QpSolution(z, y, "Optimal", r_prim, r_dual, it, float(prob.objective(z)))
             if it == 1 and (cert := _farkas(prob, on_lo, on_hi)) is not None:
                 return QpSolution(z, y, "PrimalInfeasible", r_prim, r_dual, it, certificate=cert)
@@ -214,7 +219,7 @@ class LdpSolver:
             if add.any():
                 i = int(np.argmax(np.where(add, viol, -np.inf)))
                 act[i], upper[i] = True, Az[i] > u[i]
-            elif np.any(wrong > wrong_tol):
+            elif (wrong > wrong_tol).any():
                 act[int(np.argmax(wrong))] = False
             elif not refine:
                 refine = True  # the active set stands: refine its solve

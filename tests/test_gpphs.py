@@ -111,6 +111,12 @@ def test_nlml_empty_dataset():
         gpphs.nlml(default_params(), data)
 
 
+def test_posterior_empty_dataset():
+    data = gpphs.GpPhsDataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 0)), 0.0)
+    with pytest.raises(InsufficientData):
+        gpphs.posterior(default_params(), data, np.zeros((1, 2)))
+
+
 def test_posterior_interpolates_at_zero_noise():
     rng = np.random.default_rng(4)
     data = make_dataset(rng, n=20, noise=0.0)

@@ -160,6 +160,73 @@ def test_validation_rejects_bad_problems():
         qp.QProblem(np.eye(1), np.zeros(1), np.eye(1), np.array([1.0]), np.array([0.0]))
 
 
+def _one_row_qp():
+    # min 1/2||x||^2 - (1, 1)'x s.t. -1 <= x0 + x1 <= 1
+    return np.eye(2), -np.ones(2), np.array([[1.0, 1.0]]), np.array([-1.0]), np.array([1.0])
+
+
+@pytest.mark.parametrize("name", ["P", "q", "A"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected(name, bad):
+    args = dict(zip("PqAlu", _one_row_qp()))
+    args[name].flat[0] = bad
+    with pytest.raises(ValueError):
+        qp.QProblem(**args)
+
+
+@pytest.mark.parametrize("name", ["l", "u"])
+def test_nan_bound_is_rejected(name):
+    args = dict(zip("PqAlu", _one_row_qp()))
+    args[name][0] = np.nan
+    with pytest.raises(ValueError):
+        qp.QProblem(**args)
+
+
+def test_infinite_bounds_stay_legal():
+    P, q, A, _, _ = _one_row_qp()
+    sol = qp.solve(qp.QProblem(P, q, A, np.array([-np.inf]), np.array([np.inf])))
+    assert sol.status == "Optimal"
+    np.testing.assert_allclose(sol.z, [1.0, 1.0], atol=1e-12)
+
+
+def test_nan_cost_without_bounds_is_rejected():
+    # with no finite bound, a NaN cost must not come back as DualInfeasible
+    # with the certificate [nan, nan]
+    with pytest.raises(ValueError):
+        qp.QProblem(np.zeros((2, 2)), np.full(2, np.nan), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    prob = qp.QProblem(np.zeros((2, 2)), -np.ones(2), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    assert not qp._is_ray(prob, np.full(2, np.nan))
+    assert qp._is_ray(prob, np.ones(2))
+
+
+def test_cbf_shaped_answers_are_the_lstsq_kkt_solution():
+    # the filters' QPs (P = I, an input box plus one to three lower-bounded
+    # halfspaces, as CbfFilter builds them): the answer is bit for bit the
+    # lstsq solution of the KKT system on the rows with a nonzero multiplier
+    rng = np.random.default_rng(7)
+    n_active = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 3))
+        k = int(rng.integers(1, 4))
+        u_max = rng.uniform(0.5, 3.0)
+        G = rng.normal(size=(k, m))
+        b = G @ rng.uniform(-0.9 * u_max, 0.9 * u_max, m) - rng.uniform(0.0, 0.5, k)
+        A = np.vstack([np.eye(m), G])
+        l = np.concatenate([np.full(m, -u_max), b])
+        u = np.concatenate([np.full(m, u_max), np.full(k, np.inf)])
+        q = -rng.uniform(-2.0 * u_max, 2.0 * u_max, m)
+        sol = qp.solve(qp.QProblem(np.eye(m), q, A, l, u))
+        assert sol.status == "Optimal"
+        act = sol.dual != 0
+        n_active += act.any()
+        Aa = A[act]
+        KKT = np.block([[np.eye(m), Aa.T], [Aa, np.zeros((Aa.shape[0],) * 2)]])
+        rhs = np.concatenate([-q, np.where(sol.dual > 0, u, l)[act]])
+        z = np.linalg.lstsq(KKT, rhs, rcond=None)[0][:m]
+        assert z.tobytes() == sol.z.tobytes()
+    assert n_active > 200
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=4), st.data())
 def test_box_projection_property(target, data):
