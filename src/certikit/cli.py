@@ -136,6 +136,10 @@ def _task_reach(cfg, seed, started):
     A = _load_matrix(cfg, "matrix")
     model = dyn.LinearMap(A)
     box = _box_from_cfg(cfg)
+    if box.dim != model.state_dim:
+        raise ConfigError(
+            f"config field 'region' has dimension {box.dim}; 'matrix' needs {model.state_dim}"
+        )
     steps = int(cfg.get("steps", 1))
     method = cfg.get("method", "interval")
     if method == "interval":
@@ -250,8 +254,13 @@ def _task_conformal(cfg, seed, started):
 
 def _task_gpphs(cfg, seed, started):
     data = GpPhsDatasetFromCfg(cfg)
-    init = gpphs.params_from_dict(_require(cfg, "init_params", dict))
+    try:
+        init = gpphs.params_from_dict(_require(cfg, "init_params", dict))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"config field 'init_params': {e!r}") from e
     budget = int(cfg.get("budget", 100))
+    if budget < 1:
+        raise ConfigError("config field 'budget' must be >= 1")
     fitted = gpphs.fit(data, init, budget)
     val = gpphs.nlml(fitted, data)
     checks = [{"name": "fit_completed", "passed": True, "nlml": val}]
@@ -273,16 +282,19 @@ def GpPhsDatasetFromCfg(cfg) -> gpphs.GpPhsDataset:
         X = raw[:, 1 : 1 + d]
         U = raw[:, 1 + d :]
         return gpphs.dataset_from_trajectory(t, X, U, float(cfg.get("noise_var", 0.0)))
-    return gpphs.GpPhsDataset(
-        np.array(_require(cfg, "states"), dtype=float),
-        np.array(_require(cfg, "derivs"), dtype=float),
-        np.array(cfg.get("inputs", []), dtype=float).reshape(
-            len(cfg["states"]), -1
+    try:
+        return gpphs.GpPhsDataset(
+            np.array(_require(cfg, "states"), dtype=float),
+            np.array(_require(cfg, "derivs"), dtype=float),
+            np.array(cfg.get("inputs", []), dtype=float).reshape(
+                len(cfg["states"]), -1
+            )
+            if cfg.get("inputs")
+            else np.zeros((len(cfg["states"]), 0)),
+            float(cfg.get("noise_var", 0.0)),
         )
-        if cfg.get("inputs")
-        else np.zeros((len(cfg["states"]), 0)),
-        float(cfg.get("noise_var", 0.0)),
-    )
+    except ValueError as e:  # ragged or mismatched rows, non-finite values
+        raise ConfigError(f"gpphs dataset: {e}") from e
 
 
 _HANDLERS = {

@@ -54,8 +54,8 @@ class LinearMap:
             B = np.atleast_2d(np.asarray(B, dtype=float))
             if B.shape[0] != A.shape[0]:
                 raise DimensionMismatch("B rows must match A")
-            if B.shape[1] == 0 or not np.any(B):
-                B = None if B.shape[1] == 0 else B
+            if B.shape[1] == 0:
+                B = None
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 

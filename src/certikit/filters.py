@@ -225,7 +225,13 @@ class PredictiveSafetyFilter:
         self.terminal_defaulted = cfg.terminal_set is None
 
     def _build_qp(self, As, Bs, cs, x0, u_nom):
-        """Stacked-variable QP: z = (u_0..u_{N-1}, x_1..x_N [, slacks])."""
+        """Stacked-variable QP over z = (u_0..u_{N-1}, x_1..x_N [, slacks]).
+
+        Row blocks, in order: the dynamics x_{i+1} - A_i x_i - B_i u_i = c_i,
+        stage by stage; the N*m input-box rows; the state rows X(x_1)..X(x_N),
+        then E(x_N); in soft mode, one slack per state row, then the rows
+        slack >= 0.
+        """
         cfg = self.cfg
         N = cfg.horizon
         n = self.model.state_dim
@@ -234,78 +240,47 @@ class PredictiveSafetyFilter:
         term = cfg.terminal_set if cfg.terminal_set is not None else cfg.state_set
         E_A, E_b = _set_rows(term, n)
         soft = cfg.slack_weight > 0
-        n_state_rows = N * X_A.shape[0] + E_A.shape[0] if soft else 0
-        nv = N * m + N * n + (n_state_rows if soft else 0)
-
-        def u_idx(i):
-            return slice(i * m, (i + 1) * m)
-
-        def x_idx(i):  # i in 1..N
-            return slice(N * m + (i - 1) * n, N * m + i * n)
-
-        rows, lo, hi = [], [], []
-
-        def add(row, l, u):
-            rows.append(row)
-            lo.append(l)
-            hi.append(u)
-
-        # dynamics: x_{i+1} - A x_i - B u_i = c_i
+        nu, nx, kx = N * m, N * n, X_A.shape[0]
+        ns = N * kx + E_A.shape[0]  # state rows, and slacks in soft mode
+        nv = nu + nx + (ns if soft else 0)
+        s0 = nx + nu  # first state row
+        A = np.zeros((s0 + (2 * ns if soft else ns), nv))
+        lo = np.full(A.shape[0], -np.inf)
+        hi = np.full(A.shape[0], np.inf)
+        # dynamics
+        A[np.arange(nx), nu + np.arange(nx)] = 1.0
         for i in range(N):
-            for r in range(n):
-                row = np.zeros(nv)
-                row[N * m + i * n + r] = 1.0
-                row[u_idx(i)] = -Bs[i][r]
-                rhs = cs[i][r]
-                if i == 0:
-                    rhs = rhs + As[i][r] @ x0
-                else:
-                    row[x_idx(i)] = -As[i][r]
-                add(row, rhs, rhs)
+            rows = slice(i * n, (i + 1) * n)
+            A[rows, i * m : (i + 1) * m] = -Bs[i]
+            if i == 0:
+                # row by row: a matvec As[0] @ x0 sums in another order and
+                # can move the last bit of every PSF answer
+                rhs = [cs[0][r] + As[0][r] @ x0 for r in range(n)]
+            else:
+                A[rows, nu + (i - 1) * n : nu + i * n] = -As[i]
+                rhs = cs[i]
+            lo[rows] = hi[rows] = rhs
         # input box
+        A[nx + np.arange(nu), np.arange(nu)] = 1.0
+        lo[nx:s0] = np.tile(cfg.input_set.lower, N)
+        hi[nx:s0] = np.tile(cfg.input_set.upper, N)
+        # state and terminal sets
         for i in range(N):
-            for j in range(m):
-                row = np.zeros(nv)
-                row[i * m + j] = 1.0
-                add(row, cfg.input_set.lower[j], cfg.input_set.upper[j])
-        # state and terminal sets (with optional slack)
-        slack_pos = N * m + N * n
-        srow = 0
-        for i in range(1, N + 1):
-            SA, Sb = (X_A, X_b) if i < N else (
-                np.vstack([X_A, E_A]),
-                np.concatenate([X_b, E_b]),
-            )
-            for r in range(SA.shape[0]):
-                row = np.zeros(nv)
-                row[x_idx(i)] = SA[r]
-                if soft:
-                    row[slack_pos + srow] = -1.0
-                    srow += 1
-                add(row, -np.inf, Sb[r])
-        if soft:
-            for k in range(srow):
-                row = np.zeros(nv)
-                row[slack_pos + k] = 1.0
-                add(row, 0.0, np.inf)
-            nv_used = slack_pos + srow
-        else:
-            nv_used = nv
-        A = np.array(rows)[:, :nv_used]
-        P = np.zeros((nv_used, nv_used))
+            A[s0 + i * kx : s0 + (i + 1) * kx, nu + i * n : nu + (i + 1) * n] = X_A
+        A[s0 + N * kx : s0 + ns, nu + nx - n : nu + nx] = E_A
+        hi[s0 : s0 + ns] = np.concatenate([np.tile(X_b, N), E_b])
+        P = np.zeros((nv, nv))
         P[:m, :m] = np.eye(m)
-        q = np.zeros(nv_used)
+        q = np.zeros(nv)
         q[:m] = -u_nom
         if soft:
-            P[slack_pos:nv_used, slack_pos:nv_used] = cfg.slack_weight * np.eye(srow)
-        return qp.QProblem(P, q, A, np.array(lo), np.array(hi)), slack_pos, nv_used
-
-    def _solve_linear(self, As, Bs, cs, x0, u_nom):
-        prob, slack_pos, nv = self._build_qp(As, Bs, cs, x0, u_nom)
-        sol = qp.solve(prob)
-        if sol.status == "PrimalInfeasible":
-            raise InfeasibleFilter("predictive safety filter infeasible", certificate=sol.certificate)
-        return sol, slack_pos, nv
+            # diagonal entries only: -np.eye would write -0.0 off the diagonal
+            k = np.arange(ns)
+            A[s0 + k, nu + nx + k] = -1.0
+            A[s0 + ns + k, nu + nx + k] = 1.0
+            lo[s0 + ns :] = 0.0
+            P[nu + nx :, nu + nx :] = cfg.slack_weight * np.eye(ns)
+        return qp.QProblem(P, q, A, lo, hi)
 
     def filter(self, x, u_nom):
         x = np.asarray(x, dtype=float).ravel()
@@ -314,33 +289,30 @@ class PredictiveSafetyFilter:
         N = cfg.horizon
         n = self.model.state_dim
         m = self.model.input_dim
-        if isinstance(self.model, dyn.LinearMap):
-            A0, B0 = self.model.A, self.model.B if self.model.B is not None else np.zeros((n, m))
-            As = [A0] * N
-            Bs = [B0] * N
-            cs = [np.zeros(n)] * N
-            sol, slack_pos, nv = self._solve_linear(As, Bs, cs, x, u_nom)
-            u0 = sol.z[:m]
-            diags = self._diagnostics(sol, slack_pos, nv, sqp_iters=0)
-            return u0, diags
-
-        # nonlinear: successive linearization around the rolled-out nominal plan
-        u_range = cfg.input_set.upper - cfg.input_set.lower
-        trust = 0.1 * np.max(u_range)
-        u_plan = np.tile(np.clip(u_nom, cfg.input_set.lower, cfg.input_set.upper), (N, 1))
-        prev_u0 = None
+        linear = isinstance(self.model, dyn.LinearMap)
+        if linear:
+            B0 = self.model.B if self.model.B is not None else np.zeros((n, m))
+            As, Bs, cs = [self.model.A] * N, [B0] * N, [np.zeros(n)] * N
+        else:
+            # successive linearization around the rolled-out nominal plan
+            trust = 0.1 * np.max(cfg.input_set.upper - cfg.input_set.lower)
+            u_plan = np.tile(np.clip(u_nom, cfg.input_set.lower, cfg.input_set.upper), (N, 1))
         for it in range(self.SQP_MAX):
-            xs = [x]
-            for i in range(N):
-                xs.append(dyn.step(self.model, xs[-1], u_plan[i]))
-            As, Bs, cs = [], [], []
-            for i in range(N):
-                Ai, Bi = dyn.linearize(self.model, xs[i], u_plan[i])
-                ci = xs[i + 1] - Ai @ xs[i] - Bi @ u_plan[i]
-                As.append(Ai)
-                Bs.append(Bi)
-                cs.append(ci)
-            sol, slack_pos, nv = self._solve_linear(As, Bs, cs, x, u_nom)
+            if not linear:
+                xs = [x]
+                for i in range(N):
+                    xs.append(dyn.step(self.model, xs[-1], u_plan[i]))
+                As, Bs, cs = [], [], []
+                for i in range(N):
+                    Ai, Bi = dyn.linearize(self.model, xs[i], u_plan[i])
+                    As.append(Ai)
+                    Bs.append(Bi)
+                    cs.append(xs[i + 1] - Ai @ xs[i] - Bi @ u_plan[i])
+            sol = qp.solve(self._build_qp(As, Bs, cs, x, u_nom))
+            if sol.status == "PrimalInfeasible":
+                raise InfeasibleFilter("predictive safety filter infeasible", certificate=sol.certificate)
+            if linear:
+                return sol.z[:m], self._diagnostics(sol, sqp_iters=0)
             new_plan = sol.z[: N * m].reshape(N, m)
             step_sz = np.max(np.abs(new_plan - u_plan), initial=0.0)
             u_plan = u_plan + np.clip(new_plan - u_plan, -trust, trust)
@@ -348,13 +320,13 @@ class PredictiveSafetyFilter:
                 break
             if it == self.SQP_MAX - 1 and step_sz > 1e-3 * (1 + np.max(np.abs(u_plan))):
                 raise SqpNoConverge(f"SQP step still {step_sz:.3g} after {self.SQP_MAX} iterations")
-        u0 = u_plan[0]
-        diags = self._diagnostics(sol, slack_pos, nv, sqp_iters=it + 1)
+        diags = self._diagnostics(sol, sqp_iters=it + 1)
         diags["approximation"] = "successive_linearization"
-        return u0, diags
+        return u_plan[0], diags
 
-    def _diagnostics(self, sol, slack_pos, nv, sqp_iters):
-        slacks = sol.z[slack_pos:nv] if self.cfg.slack_weight > 0 else np.array([])
+    def _diagnostics(self, sol, sqp_iters):
+        N = self.cfg.horizon
+        slacks = sol.z[N * (self.model.state_dim + self.model.input_dim) :]  # empty in hard mode
         active = int(np.sum(np.abs(sol.dual) > 1e-7))
         return {
             "active_constraints": active,

@@ -344,12 +344,14 @@ def verify_positivity(f_net: nn.Mlp, region: geom.Box, exclude=None, tol=1e-6, n
             if val < best_val:
                 best_val = val
                 witness = out.counterexample
+    # only a witness with f < 0 falsifies: a bound a few ulps below 0 with
+    # f(witness) >= 0 proves neither sign
     if best_val < 0:
-        return VerifyOutcome("Falsified", float(min_bound), witness, nodes, float(best_val - min_bound))
-    status = "BoundOnly" if any_budget else ("Certified" if min_bound >= 0 else "Falsified")
-    if status == "Falsified":
-        # certified minimum is negative: the witness attains it within tol
-        return VerifyOutcome("Falsified", float(min_bound), witness, nodes, float(best_val - min_bound))
+        status = "Falsified"
+    elif min_bound >= 0 and not any_budget:
+        status = "Certified"
+    else:
+        status = "BoundOnly"
     return VerifyOutcome(status, float(min_bound), witness if status != "Certified" else None, nodes, float(best_val - min_bound))
 
 

@@ -93,6 +93,9 @@ def test_malformed_scores_csv_exit_two(tmp_path, capsys):
 
 
 REGION = {"lower": [-1.0], "upper": [1.0]}
+GP_STATES = [[0.0, 0.5], [0.5, -0.5], [-0.5, 0.0]]
+GP_PARAMS = {"sigma_f": 1.0, "lengthscales": [0.5, 0.5], "phi_j": [1.0], "phi_r": [0.0, 0.0, 0.0], "phi_g": []}
+GP_JOB = {"task": "gpphs", "states": GP_STATES, "derivs": GP_STATES, "init_params": GP_PARAMS}
 
 
 @pytest.mark.parametrize(
@@ -105,6 +108,10 @@ REGION = {"lower": [-1.0], "upper": [1.0]}
         {"task": "reach", "matrix": [[0.5]], "region": {"lower": [-1.0]}},
         {"task": "reach", "matrix": [[0.5]], "region": REGION, "method": "sampled", "template": "hull"},
         {"task": "reach", "matrix": [[0.5]], "region": {"lower": [1.0], "upper": [0.0]}},
+        {"task": "reach", "matrix": [[0.5, 0.0], [0.0, 0.5]], "region": REGION},
+        {**GP_JOB, "derivs": GP_STATES[:2]},
+        {**GP_JOB, "init_params": {k: v for k, v in GP_PARAMS.items() if k != "lengthscales"}},
+        {**GP_JOB, "budget": 0},
     ],
     ids=[
         "certify-matrix",
@@ -114,6 +121,10 @@ REGION = {"lower": [-1.0], "upper": [1.0]}
         "region-upper",
         "template",
         "region-order",
+        "region-dimension",
+        "gpphs-rows",
+        "gpphs-init-params",
+        "gpphs-budget",
     ],
 )
 def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from certikit import dyn, filters, geom
+from certikit import dyn, filters, geom, qp
 from certikit.errors import InfeasibleFilter
 
 
@@ -188,12 +188,86 @@ def test_psf_double_integrator_qp_is_kkt_exact():
     braked = 0
     for _ in range(20):
         plan = ([A] * 10, [B] * 10, [np.zeros(2)] * 10, x, np.array([1.2]))
-        prob, _, _ = flt._build_qp(*plan)
-        sol, _, _ = flt._solve_linear(*plan)
+        prob = flt._build_qp(*plan)
+        sol = qp.solve(prob)
         assert sol.status == "Optimal"
+        assert np.array_equal(flt.filter(x, np.array([1.2]))[0], sol.z[:1])
         Az = prob.A @ sol.z
         assert max(np.max(prob.l - Az), np.max(Az - prob.u)) <= 1e-12
         assert np.max(np.abs(prob.P @ sol.z + prob.q + prob.A.T @ sol.dual)) <= 1e-12
         braked += sol.z[0] < 1.0 - 1e-6
         x = A @ x + B @ sol.z[:1]
     assert braked > 0
+
+
+def _random_set(rng, n, box):
+    if box:
+        lo = rng.uniform(-1.5, -0.5, n)
+        return geom.Box(lo, lo + rng.uniform(1.0, 3.0, n))
+    k = int(rng.integers(n + 1, 2 * n + 3))
+    return geom.HPolytope(rng.normal(size=(k, n)), rng.uniform(0.5, 2.0, k))
+
+
+def _halfspaces(s):
+    if isinstance(s, geom.HPolytope):
+        return s.A, s.b
+    eye = np.eye(s.dim)
+    return np.vstack([eye, -eye]), np.concatenate([s.upper, -s.lower])
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+@pytest.mark.parametrize("terminal", ["explicit", "default"])
+@pytest.mark.parametrize("box", [True, False], ids=["box", "hpolytope"])
+def test_psf_qp_encodes_rollout_and_sets(box, terminal, soft):
+    # what the stacked QP means, read through z = (u, x, slacks) only: a
+    # rolled-out plan satisfies every dynamics row, each state row measures
+    # one row of X at one stage (or of E at x_N), and each slack relaxes one
+    rng = np.random.default_rng(3)
+    violated = 0
+    for _ in range(20):
+        n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 6))
+        X = _random_set(rng, n, box)
+        E = _random_set(rng, n, box) if terminal == "explicit" else None
+        weight = 7.0 if soft else 0.0
+        cfg = filters.PsfConfig(N, X, geom.Box(-np.ones(m), np.ones(m)), E, weight)
+        flt = filters.PredictiveSafetyFilter(dyn.LinearMap(np.eye(n), np.ones((n, m))), cfg)
+        As = [0.6 * rng.normal(size=(n, n)) for _ in range(N)]
+        Bs = [rng.normal(size=(n, m)) for _ in range(N)]
+        cs = [0.3 * rng.normal(size=n) for _ in range(N)]
+        us = rng.uniform(-1.0, 1.0, size=(N, m))
+        xs = [rng.uniform(-1.5, 1.5, n)]
+        for i in range(N):
+            xs.append(As[i] @ xs[i] + Bs[i] @ us[i] + cs[i])
+        u_nom = rng.normal(size=m)
+        prob = flt._build_qp(As, Bs, cs, xs[0], u_nom)
+
+        X_A, X_b = _halfspaces(X)
+        E_A, E_b = _halfspaces(X if E is None else E)
+        n_slack = N * X_A.shape[0] + E_A.shape[0] if soft else 0
+        assert prob.n == N * (n + m) + n_slack
+        z = np.concatenate([us.ravel(), np.concatenate(xs[1:]), np.zeros(n_slack)])
+        Az = prob.A @ z
+        eq = prob.l == prob.u
+        assert eq.sum() == N * n
+        assert np.max(np.abs(Az[eq] - prob.l[eq])) <= 1e-12
+        inputs = np.isfinite(prob.l) & np.isfinite(prob.u) & ~eq
+        assert inputs.sum() == N * m and np.all(prob.l[inputs] == -1.0) and np.all(prob.u[inputs] == 1.0)
+        state = np.isneginf(prob.l)
+        residual = np.concatenate([X_A @ xs[i] - X_b for i in range(1, N + 1)] + [E_A @ xs[N] - E_b])
+        assert state.sum() == residual.size
+        np.testing.assert_allclose(np.sort(Az[state] - prob.u[state]), np.sort(residual), rtol=0, atol=1e-12)
+        # every set row a state violates is violated by exactly one QP row
+        assert np.sum(Az[state] > prob.u[state]) == np.sum(residual > 0)
+        violated += np.sum(residual > 0)
+        assert prob.objective(z) == pytest.approx(0.5 * us[0] @ us[0] - u_nom @ us[0], abs=1e-12)
+        if soft:
+            slack_rows = (prob.l == 0.0) & np.isposinf(prob.u)
+            assert slack_rows.sum() == n_slack
+            for k in range(n_slack):
+                dz = np.zeros(prob.n)
+                dz[N * (n + m) + k] = 0.5
+                dAz = prob.A @ dz
+                assert np.sum(dAz[state] == -0.5) == 1 and np.sum(dAz[state] != 0.0) == 1
+                assert np.sum(dAz[slack_rows] == 0.5) == 1
+                assert prob.objective(dz) == 0.5 * weight * 0.25
+    assert violated > 0

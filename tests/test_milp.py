@@ -192,6 +192,45 @@ def test_verify_positivity_certified():
     assert out.bound == pytest.approx(0.5, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [([[1.0]], [0.0], "relu"), ([[1.0]], [0.0], "identity")],
+        [([[1.0], [-1.0]], [0.0, 0.0], "relu"), ([[1.0, 1.0]], [0.0], "identity")],
+    ],
+    ids=["relu", "abs"],
+)
+def test_verify_positivity_zero_minimum_not_falsified(layers):
+    # f = relu(x) and f = |x| reach their minimum 0 at x = 0; the bound may
+    # land a few ulps below 0, but no witness has f < 0
+    net = relu_net(layers)
+    out = milp.verify_positivity(net, geom.Box([-1.0], [1.0]))
+    assert out.status in ("Certified", "BoundOnly")
+    assert out.bound == pytest.approx(0.0, abs=1e-9)
+
+
+def test_verify_positivity_falsified_only_by_negative_witness():
+    # random 2-4-1 nets; with nonnegative output weights and zero output bias
+    # f >= 0 everywhere, so no verdict may be Falsified
+    box = geom.Box([-1.0, -1.0], [1.0, 1.0])
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        W2, b2 = rng.normal(size=(1, 4)), rng.normal(size=1)
+        nonneg = seed % 2 == 0
+        if nonneg:
+            W2, b2 = np.abs(W2), np.zeros(1)
+        net = nn.Mlp(
+            (
+                nn.Layer(rng.normal(size=(4, 2)), rng.normal(size=4), "relu"),
+                nn.Layer(W2, b2, "identity"),
+            )
+        )
+        out = milp.verify_positivity(net, box)
+        if out.status == "Falsified":
+            assert float(nn.forward(net, out.counterexample)[0]) < 0
+        assert not (nonneg and out.status == "Falsified")
+
+
 def test_verify_positivity_with_exclude():
     # f(x) = |x| is zero only at the origin; excluding a neighborhood certifies
     net = relu_net(
