@@ -10,6 +10,8 @@ byte-identical reports apart from the wall-time field.
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 import tempfile
@@ -83,6 +85,19 @@ def _require(cfg, key, kind=None):
     return v
 
 
+def _number(cfg, key, kind, default):
+    """cfg[key] (or default) as a kind (int or float); a value that is not a
+    finite number, or for int not a whole one, is a config error."""
+    v = cfg.get(key, default)
+    try:  # math.isfinite raises OverflowError on an int beyond float range
+        if not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v):
+            if kind is float or v == math.floor(v):
+                return kind(v)
+    except OverflowError:
+        pass
+    raise ConfigError(f"config field '{key}' must be a finite {'integer' if kind is int else 'number'}")
+
+
 def _read_file(key, path, load, **kwargs):
     """load(path, **kwargs); a file that cannot be opened or parsed is a config error."""
     try:
@@ -107,10 +122,16 @@ def _load_matrix(cfg, key):
 
 
 def _load_network(cfg, key="network"):
+    """An inline network dict, or a JSON weight file (see `nn.save_network`)."""
     v = _require(cfg, key)
     if isinstance(v, str):
-        return _read_file(key, v, nn.load_network)
-    return nn.network_from_dict(v)
+        v = _read_file(key, v, _load_json)
+    if not isinstance(v, dict):
+        raise ConfigError(f"config field '{key}' is not a network object")
+    try:
+        return nn.network_from_dict(v)
+    except (KeyError, TypeError, ValueError, CertikitError) as e:
+        raise ConfigError(f"config field '{key}' is not a valid network: {e!r}") from e
 
 
 def _box_from_cfg(cfg, key="region"):
@@ -140,7 +161,7 @@ def _task_reach(cfg, seed, started):
         raise ConfigError(
             f"config field 'region' has dimension {box.dim}; 'matrix' needs {model.state_dim}"
         )
-    steps = int(cfg.get("steps", 1))
+    steps = _number(cfg, "steps", int, 1)
     method = cfg.get("method", "interval")
     if method == "interval":
         res = reach.propagate_interval(model, box, steps)
@@ -149,9 +170,9 @@ def _task_reach(cfg, seed, started):
             rcfg = reach.ReachConfig(
                 steps=steps,
                 template=cfg.get("template", "ball_union"),
-                n_samples=int(cfg.get("n_samples", 200)),
-                eps=float(cfg.get("eps", 0.05)),
-                delta=float(cfg.get("delta", 0.1)),
+                n_samples=_number(cfg, "n_samples", int, 200),
+                eps=_number(cfg, "eps", float, 0.05),
+                delta=_number(cfg, "delta", float, 0.1),
                 seed=seed,
             )
         except ValueError as e:
@@ -168,8 +189,12 @@ def _task_reach(cfg, seed, started):
 def _task_verify_nn(cfg, seed, started):
     net = _load_network(cfg)
     box = _box_from_cfg(cfg)
-    tol = float(cfg.get("tol", 1e-6))
-    budget = int(cfg.get("budget", 100000))
+    if box.dim != net.in_dim:
+        raise ConfigError(f"config field 'region' has dimension {box.dim}; 'network' needs {net.in_dim}")
+    tol = _number(cfg, "tol", float, 1e-6)
+    budget = _number(cfg, "budget", int, 100000)
+    if budget < 1:
+        raise ConfigError("config field 'budget' must be >= 1")
     out = milp.verify_positivity(net, box, tol=tol, node_budget=budget)
     passed = out.status == "Certified"
     checks = [
@@ -223,13 +248,13 @@ def _cbf_integrator_sim(x0, n_steps, dt, kappa, u_lim, nominal):
 
 
 def _task_filter_sim(cfg, seed, started):
-    n_steps = int(cfg.get("steps", 1000))
+    n_steps = _number(cfg, "steps", int, 1000)
     checks, _ = _cbf_integrator_sim(
-        float(cfg.get("x0", 0.0)),
+        _number(cfg, "x0", float, 0.0),
         n_steps,
-        float(cfg.get("dt", 0.01)),
-        float(cfg.get("kappa", 1.0)),
-        float(cfg.get("u_limit", 2.0)),
+        _number(cfg, "dt", float, 0.01),
+        _number(cfg, "kappa", float, 1.0),
+        _number(cfg, "u_limit", float, 2.0),
         lambda k: 1.5 * np.sin(0.002 * k),
     )
     status = "pass" if all(c["passed"] for c in checks) else "violation"
@@ -237,7 +262,7 @@ def _task_filter_sim(cfg, seed, started):
 
 
 def _task_conformal(cfg, seed, started):
-    delta = float(cfg.get("delta", 0.1))
+    delta = _number(cfg, "delta", float, 0.1)
     if "scores_csv" in cfg:
         lon, lat = _read_file("scores_csv", cfg["scores_csv"], conformal.load_score_csv)
         cal_lon, cal_lat = conformal.calibrate_2d(lon, lat, delta)
@@ -258,7 +283,7 @@ def _task_gpphs(cfg, seed, started):
         init = gpphs.params_from_dict(_require(cfg, "init_params", dict))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'init_params': {e!r}") from e
-    budget = int(cfg.get("budget", 100))
+    budget = _number(cfg, "budget", int, 100)
     if budget < 1:
         raise ConfigError("config field 'budget' must be >= 1")
     fitted = gpphs.fit(data, init, budget)
@@ -277,11 +302,15 @@ def _task_gpphs(cfg, seed, started):
 def GpPhsDatasetFromCfg(cfg) -> gpphs.GpPhsDataset:
     if "dataset_csv" in cfg:
         raw = _read_file("dataset_csv", cfg["dataset_csv"], np.loadtxt, delimiter=",", skiprows=1, ndmin=2)
-        d = int(cfg.get("state_dim", raw.shape[1] - 1))
+        d = _number(cfg, "state_dim", int, raw.shape[1] - 1)
+        if not 1 <= d <= raw.shape[1] - 1:
+            raise ConfigError(
+                f"config field 'state_dim' is {d}; 'dataset_csv' has {raw.shape[1] - 1} columns after the time"
+            )
         t = raw[:, 0]
         X = raw[:, 1 : 1 + d]
         U = raw[:, 1 + d :]
-        return gpphs.dataset_from_trajectory(t, X, U, float(cfg.get("noise_var", 0.0)))
+        return gpphs.dataset_from_trajectory(t, X, U, _number(cfg, "noise_var", float, 0.0))
     try:
         return gpphs.GpPhsDataset(
             np.array(_require(cfg, "states"), dtype=float),
@@ -291,7 +320,7 @@ def GpPhsDatasetFromCfg(cfg) -> gpphs.GpPhsDataset:
             )
             if cfg.get("inputs")
             else np.zeros((len(cfg["states"]), 0)),
-            float(cfg.get("noise_var", 0.0)),
+            _number(cfg, "noise_var", float, 0.0),
         )
     except ValueError as e:  # ragged or mismatched rows, non-finite values
         raise ConfigError(f"gpphs dataset: {e}") from e
@@ -316,7 +345,7 @@ def run(config, out_path=None, seed=None):
     if task not in TASKS:
         raise ConfigError(f"unknown task '{task}'; choose one of {TASKS}")
     if seed is None:
-        seed = int(config.get("seed", 0))
+        seed = _number(config, "seed", int, 0)
     report = _HANDLERS[task](config, seed, started)
     if out_path is None:
         out_path = config.get("out")

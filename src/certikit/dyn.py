@@ -1,5 +1,6 @@
 """Dynamics model representations, simulation, closed-loop composition, and
-linearization.
+linearization (exact for LinearMap and NetworkMap; central differences
+otherwise).
 
 The model library is deliberately closed (linear, polynomial, ReLU-network,
 Koopman-latent maps; linear/polynomial/PHS/bicycle ODEs) so downstream
@@ -163,8 +164,8 @@ class NetworkPolicy:
         return nn.forward(self.net, x)
 
 
-def step(model, x, u=None):
-    """One exact evaluation of a discrete map."""
+def _point(model, x, u):
+    """(x, u) as float vectors, checked against the model's dimensions."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.state_dim:
         raise DimensionMismatch(f"state dim {x.size}, model expects {model.state_dim}")
@@ -177,7 +178,13 @@ def step(model, x, u=None):
             raise DimensionMismatch(f"input dim {u.size}, model expects {m}")
     elif u is not None and np.asarray(u).size > 0:
         raise DimensionMismatch("autonomous model takes no input")
+    return x, u
 
+
+def step(model, x, u=None):
+    """One exact evaluation of a discrete map."""
+    x, u = _point(model, x, u)
+    m = model.input_dim
     if isinstance(model, LinearMap):
         out = model.A @ x
         if model.B is not None:
@@ -474,18 +481,25 @@ def central_difference(f, x, h):
 
 
 def linearize(model, x, u=None):
-    """Central finite-difference Jacobians (A, B); exact for LinearMap."""
+    """Jacobians (A, B) of a discrete map at (x, u): exact for LinearMap and
+    NetworkMap (one forward pass, `nn.jacobian`); central differences with
+    step 1e-5 (1 + max|x|) otherwise."""
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(model, LinearMap):
         B = model.B if model.B is not None else np.zeros((model.state_dim, 0))
         return model.A.copy(), B.copy()
-    h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
-    A = central_difference(lambda xi: step(model, xi, u), x, h)
-    if model.input_dim > 0:
-        u = np.asarray(u, dtype=float).ravel()
-        B = central_difference(lambda ui: step(model, x, ui), u, h)
+    if isinstance(model, NetworkMap):
+        x, u = _point(model, x, u)
+        J = nn.jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
+        A, B = J[:, : x.size], J[:, x.size :]
     else:
-        B = np.empty((x.size, 0))
+        h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
+        A = central_difference(lambda xi: step(model, xi, u), x, h)
+        if model.input_dim > 0:
+            u = np.asarray(u, dtype=float).ravel()
+            B = central_difference(lambda ui: step(model, x, ui), u, h)
+        else:
+            B = np.empty((x.size, 0))
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NonFiniteState("non-finite Jacobian")
     return A, B

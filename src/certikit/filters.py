@@ -214,7 +214,9 @@ class PredictiveSafetyFilter:
 
     Exact QP for linear models; nonlinear models run successive linearization
     (at most 10 SQP passes with a trust-region box of 10% of the input range),
-    which is a documented desk-scale approximation.
+    which is a documented desk-scale approximation. Each pass linearizes with
+    `dyn.linearize`: exact for LinearMap and NetworkMap; central differences
+    otherwise.
     """
 
     SQP_MAX = 10

@@ -9,8 +9,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .errors import DimensionMismatch, UnsupportedActivation
+from .errors import DimensionMismatch, UnsupportedActivation, UnsupportedModel
 
 __all__ = [
     "Layer",
@@ -18,6 +19,7 @@ __all__ = [
     "Icnn",
     "LyapunovCandidate",
     "forward",
+    "jacobian",
     "lyapunov_eval",
     "check_icnn",
     "lipschitz_bound",
@@ -39,6 +41,21 @@ def _act(name, x):
     if name == "identity":
         return x
     raise UnsupportedActivation(name)
+
+
+def _slope(name, z, out):
+    """Derivative of activation `name` at preactivation z, given out = act(z).
+
+    relu's slope is 1 where z > 0 and 0 elsewhere, so 0 at an exact kink (a
+    one-sided derivative; any value in [0, 1] is a valid subgradient there).
+    """
+    if name == "relu":
+        return (z > 0).astype(float)
+    if name == "sigmoid":
+        return out * (1.0 - out)
+    if name == "softplus":
+        return expit(z)  # e^z / (1 + e^z), cannot overflow
+    return np.ones_like(z)  # identity; _act rejects every other name
 
 
 @dataclass(frozen=True)
@@ -167,6 +184,41 @@ def forward(net, x):
     else:
         raise TypeError(f"cannot evaluate {type(net).__name__}")
     return Z[0] if single else Z
+
+
+def jacobian(net, x):
+    """Exact Jacobian of an Mlp or Icnn at one point x, shape (out_dim, in_dim).
+
+    One forward pass carries J <- diag(act'(z_k)) W_k J layer by layer
+    (forward-mode differentiation; an Icnn layer carries
+    J_k = diag(act'(z_k)) (U_k J_{k-1} + W_k)). Preactivations are formed as in
+    `forward`, and relu's slope at an exact kink is 0 (see `_slope`).
+    """
+    if not isinstance(net, (Mlp, Icnn)):
+        raise UnsupportedModel(f"no Jacobian for {type(net).__name__}")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != net.in_dim:
+        raise DimensionMismatch(f"input dim {x.size}, network expects {net.in_dim}")
+    X = x[None, :]
+    # a sigmoid preactivation below about -709 overflows exp to inf, and the
+    # sigmoid is still the correctly rounded 0.0
+    with np.errstate(over="ignore"):
+        if isinstance(net, Mlp):
+            Z, J = X, None
+            for layer in net.layers:
+                pre = Z @ layer.W.T + layer.b
+                Z = _act(layer.activation, pre)
+                WJ = layer.W if J is None else layer.W @ J
+                J = _slope(layer.activation, pre, Z).T * WJ
+        else:
+            pre = X @ net.W[0].T + net.b[0]
+            Z = _act(net.activations[0], pre)
+            J = _slope(net.activations[0], pre, Z).T * net.W[0]
+            for i in range(1, len(net.W)):
+                pre = Z @ net.U[i - 1].T + X @ net.W[i].T + net.b[i]
+                Z = _act(net.activations[i], pre)
+                J = _slope(net.activations[i], pre, Z).T * (net.U[i - 1] @ J + net.W[i])
+    return J
 
 
 def lyapunov_eval(V: LyapunovCandidate, x):

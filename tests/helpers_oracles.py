@@ -3,9 +3,11 @@
 These deliberately avoid the package's own solvers: the QP oracle enumerates
 active sets with plain numpy KKT solves, one network-maximization oracle
 enumerates ReLU activation patterns with scipy's LP solver, and the other
-evaluates a one-hidden-layer net at the vertices of its kink arrangement.
+evaluates a one-hidden-layer net at the vertices of its kink arrangement. The
+network Jacobian oracle is plain Python in 50-digit decimal arithmetic.
 """
 
+import decimal
 import itertools
 
 import numpy as np
@@ -198,3 +200,38 @@ def random_feasible_qp(rng, n_max=6, m_max=10):
         elif p < 0.3:
             u[i] = np.inf
     return P, q, A, l, u
+
+
+def decimal_jacobian(layers, x, digits=50):
+    """Jacobian of an MLP at x in `digits`-digit decimal arithmetic, as floats.
+
+    layers: a sequence of (W, b, activation) with W and b nested lists of
+    floats; every float converts to Decimal exactly. The chain rule runs
+    layer by layer on the decimal values: relu' = 1 if z > 0 else 0,
+    sigmoid' = s(1 - s), softplus' = 1 / (1 + e^-z), identity' = 1.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        z = [D(float(v)) for v in x]
+        J = [[D(1) if i == j else D(0) for j in range(len(z))] for i in range(len(z))]
+        for W, b, act in layers:
+            W = [[D(float(w)) for w in row] for row in W]
+            pre = [sum((w * v for w, v in zip(row, z)), D(0)) + D(float(bi)) for row, bi in zip(W, b)]
+            WJ = [[sum((row[k] * J[k][j] for k in range(len(z))), D(0)) for j in range(len(J[0]))] for row in W]
+            if act == "relu":
+                z = [max(p, D(0)) for p in pre]
+                slope = [D(1) if p > 0 else D(0) for p in pre]
+            elif act == "sigmoid":
+                z = [1 / (1 + (-p).exp()) for p in pre]
+                slope = [s * (1 - s) for s in z]
+            elif act == "softplus":
+                z = [(1 + p.exp()).ln() for p in pre]
+                slope = [1 / (1 + (-p).exp()) for p in pre]
+            elif act == "identity":
+                z = pre
+                slope = [D(1)] * len(pre)
+            else:
+                raise ValueError(f"unknown activation {act}")
+            J = [[slope[i] * WJ[i][j] for j in range(len(WJ[0]))] for i in range(len(WJ))]
+        return [[float(v) for v in row] for row in J]

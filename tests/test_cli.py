@@ -96,6 +96,8 @@ REGION = {"lower": [-1.0], "upper": [1.0]}
 GP_STATES = [[0.0, 0.5], [0.5, -0.5], [-0.5, 0.0]]
 GP_PARAMS = {"sigma_f": 1.0, "lengthscales": [0.5, 0.5], "phi_j": [1.0], "phi_r": [0.0, 0.0, 0.0], "phi_g": []}
 GP_JOB = {"task": "gpphs", "states": GP_STATES, "derivs": GP_STATES, "init_params": GP_PARAMS}
+NET_1D = {"kind": "mlp", "layers": [{"w": [[1.0]], "b": [0.5], "act": "identity"}]}
+NN_JOB = {"task": "verify-nn", "network": NET_1D, "region": REGION}
 
 
 @pytest.mark.parametrize(
@@ -112,6 +114,19 @@ GP_JOB = {"task": "gpphs", "states": GP_STATES, "derivs": GP_STATES, "init_param
         {**GP_JOB, "derivs": GP_STATES[:2]},
         {**GP_JOB, "init_params": {k: v for k, v in GP_PARAMS.items() if k != "lengthscales"}},
         {**GP_JOB, "budget": 0},
+        {**NN_JOB, "network": {"kind": "mlp"}},
+        {**NN_JOB, "network": {"kind": "mlp", "layers": [{"b": [0.0], "act": "relu"}]}},
+        {**NN_JOB, "network": {"kind": "bogus"}},
+        {**NN_JOB, "network": [1.0]},
+        {**NN_JOB, "region": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}},
+        {**NN_JOB, "budget": 0},
+        {**NN_JOB, "budget": -5},
+        {"task": "filter-sim", "steps": "abc"},
+        {"task": "filter-sim", "dt": float("nan")},
+        {"task": "reach", "matrix": [[0.5]], "region": REGION, "steps": 1.5},
+        {**NN_JOB, "tol": "1e-6"},
+        {"task": "conformal", "scores": [1.0, 2.0], "delta": None},
+        {**GP_JOB, "budget": True},
     ],
     ids=[
         "certify-matrix",
@@ -125,6 +140,19 @@ GP_JOB = {"task": "gpphs", "states": GP_STATES, "derivs": GP_STATES, "init_param
         "gpphs-rows",
         "gpphs-init-params",
         "gpphs-budget",
+        "network-no-layers",
+        "network-layer-no-w",
+        "network-kind",
+        "network-list",
+        "verify-nn-region-dimension",
+        "verify-nn-budget-zero",
+        "verify-nn-budget-negative",
+        "filter-sim-steps-text",
+        "filter-sim-dt-nan",
+        "reach-steps-fraction",
+        "verify-nn-tol-text",
+        "conformal-delta-null",
+        "gpphs-budget-bool",
     ],
 )
 def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
@@ -133,6 +161,28 @@ def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
     assert code == 2
     assert report is None
     assert capsys.readouterr().err.startswith("certikit: ")
+
+
+@pytest.mark.parametrize("state_dim", [0, 3, 5])
+def test_gpphs_state_dim_outside_csv_exit_two(tmp_path, capsys, state_dim):
+    # columns t, x0, x1: state_dim must lie in 1..2
+    csv_path = tmp_path / "data.csv"
+    t = np.linspace(0.0, 1.0, 6)
+    rows = np.column_stack([t, np.cos(t), -np.sin(t)])
+    csv_path.write_text("t,x0,x1\n" + "\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    code, report = run_main(
+        tmp_path, {"task": "gpphs", "dataset_csv": str(csv_path), "state_dim": state_dim, "init_params": GP_PARAMS}
+    )
+    assert code == 2
+    assert report is None
+    assert "state_dim" in capsys.readouterr().err
+
+
+def test_verify_nn_one_input_net_passes(tmp_path):
+    # the region and budget checks pass a well-formed job: f(x) = x + 0.5 >= 0.5 on [0, 1]
+    code, rep = run_main(tmp_path, {**NN_JOB, "region": {"lower": [0.0], "upper": [1.0]}, "budget": 10})
+    assert code == 0
+    assert rep["checks"][0]["status"] == "Certified"
 
 
 def test_requires_exactly_one_mode(tmp_path):

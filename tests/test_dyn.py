@@ -1,7 +1,10 @@
 """Discrete maps, ODE integration, closed-loop composition, linearization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from helpers_oracles import decimal_jacobian
 
 from certikit import dyn, nn
 from certikit.errors import DimensionMismatch, NonFiniteState
@@ -123,6 +126,67 @@ def test_linearize_polynomial_fd_accuracy():
     m = dyn.PolynomialMap(np.array([[0.5]]), Q)  # x+ = 0.5x + x^2
     A, _ = dyn.linearize(m, [2.0])
     assert A[0, 0] == pytest.approx(0.5 + 2 * 2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "softplus", "relu", "identity"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_linearize_network_matches_decimal_jacobian(act, m):
+    rng = np.random.default_rng([m, len(act)])
+    n = 2
+    net = nn.Mlp(
+        (
+            nn.Layer(rng.normal(size=(8, n + m)), rng.normal(size=8), act),
+            nn.Layer(rng.normal(size=(6, 8)) / 2, rng.normal(size=6), act),
+            nn.Layer(rng.normal(size=(n, 6)), rng.normal(size=n), "identity"),
+        )
+    )
+    layers = [(l.W.tolist(), l.b.tolist(), l.activation) for l in net.layers]
+    model = dyn.NetworkMap(net, input_dim=m)
+    for _ in range(5):
+        x, u = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, m)
+        A, B = dyn.linearize(model, x, u if m else None)
+        ref = np.array(decimal_jacobian(layers, np.concatenate([x, u])))
+        assert A.shape == (n, n) and B.shape == (n, m)
+        err = np.max(np.abs(np.hstack([A, B]) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_linearize_network_across_relu_kink_is_exact():
+    # f(x, u) = relu(x) + relu(x - u) at x = 3e-6, u = 0: both units active,
+    # and a central difference with step 1e-5 crosses both kinks
+    net = nn.Mlp(
+        (
+            nn.Layer([[1.0, 0.0], [1.0, -1.0]], [0.0, 0.0], "relu"),
+            nn.Layer([[1.0, 1.0]], [0.0], "identity"),
+        )
+    )
+    A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [3e-6], [0.0])
+    assert A.tolist() == [[2.0]] and B.tolist() == [[-1.0]]
+
+
+def test_linearize_identity_network_returns_weights_bit_exactly():
+    rng = np.random.default_rng(3)
+    A0, B0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+    net = nn.Mlp((nn.Layer(np.hstack([A0, B0]), rng.normal(size=3), "identity"),))
+    A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=2), rng.normal(size=3), rng.normal(size=2))
+    np.testing.assert_array_equal(A, A0)
+    np.testing.assert_array_equal(B, B0)
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "softplus"])
+def test_linearize_network_saturated_units_warn_nothing(act):
+    # preactivations of +800 and -800
+    net = nn.Mlp(
+        (
+            nn.Layer([[800.0, 0.0], [-800.0, 0.0]], [0.0, 0.0], act),
+            nn.Layer([[1.0, 1.0]], [0.0], "identity"),
+        )
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [1.0], [0.5])
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+    assert B.tolist() == [[0.0]]
 
 
 def test_phs_structure_and_energy():

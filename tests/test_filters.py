@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from certikit import dyn, filters, geom, qp
+from certikit import dyn, filters, geom, nn, qp
 from certikit.errors import InfeasibleFilter
 
 
@@ -169,6 +169,39 @@ def test_psf_nonlinear_sqp_runs():
     assert diag["sqp_iterations"] >= 1
     assert diag.get("approximation") == "successive_linearization"
     assert -1.0 <= u0[0] <= 1.0
+
+
+def test_psf_learned_network_model_episode():
+    # the filter-loop benchmark's learned model: a 16-unit sigmoid MLP fitted
+    # to the N = 10 double integrator by least squares on its output layer
+    dt = 0.1
+    A = np.array([[1.0, dt], [0.0, 1.0]])
+    B = np.array([[0.5 * dt**2], [dt]])
+    rng = np.random.default_rng(2024)
+    W1, b1 = 0.3 * rng.normal(size=(16, 3)), 0.3 * rng.normal(size=16)
+    Z = rng.uniform(-2.0, 2.0, size=(800, 3))
+    H = np.hstack([1.0 / (1.0 + np.exp(-(Z @ W1.T + b1))), np.ones((800, 1))])
+    coef, *_ = np.linalg.lstsq(H, Z[:, :2] @ A.T + Z[:, 2:] @ B.T, rcond=None)
+    net = nn.Mlp((nn.Layer(W1, b1, "sigmoid"), nn.Layer(coef[:-1].T, coef[-1], "identity")))
+    model = dyn.NetworkMap(net, input_dim=1)
+    cfg = filters.PsfConfig(
+        horizon=10,
+        state_set=geom.Box([-1.0, -1.0], [1.0, 1.0]),
+        input_set=geom.Box([-1.0], [1.0]),
+        terminal_set=geom.Box([-0.8, 0.0], [0.8, 0.0]),
+    )
+    psf = filters.PredictiveSafetyFilter(model, cfg)
+    x = np.array([0.3, 0.1])
+    interventions = 0
+    for k in range(10):  # a gentle swinging reference
+        u_nom = 0.6 * np.sin(0.3 * k + 1.0)
+        u, diag = psf.filter(x, [u_nom])
+        assert diag["approximation"] == "successive_linearization"
+        assert -1.0 - 1e-9 <= u[0] <= 1.0 + 1e-9
+        interventions += abs(u[0] - u_nom) > 1e-3
+        x = dyn.step(model, x, u)
+        assert np.all(np.abs(x) <= 1.0 + 1e-6)
+    assert interventions >= 1  # the last tick brakes before the wall
 
 
 def test_psf_double_integrator_qp_is_kkt_exact():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certikit import geom, nn
-from certikit.errors import DimensionMismatch, UnsupportedActivation
+from certikit.errors import DimensionMismatch, UnsupportedActivation, UnsupportedModel
 
 
 def small_mlp():
@@ -76,6 +76,26 @@ def test_icnn_rejects_nonconvex_activation():
             b=(np.zeros(2), np.zeros(1)),
             activations=("sigmoid", "relu"),
         )
+
+
+def test_icnn_jacobian_closed_form():
+    # out = softplus(U softplus(x) + 0.5 (x1 + x2)), so
+    # d out / dx = sig(pre) (U diag(sig(x)) + [0.5, 0.5]) with sig = softplus'
+    net = make_icnn()
+    U = net.U[0][0]
+    sig = lambda t: 1.0 / (1.0 + np.exp(-t))
+    for x in ([0.3, -1.2], [2.0, 0.5], [-3.0, -0.1]):
+        x = np.array(x)
+        pre = U @ np.logaddexp(0.0, x) + 0.5 * x.sum()
+        expected = sig(pre) * (U * sig(x) + 0.5)
+        np.testing.assert_allclose(nn.jacobian(net, x), [expected], rtol=1e-14)
+
+
+def test_jacobian_rejects_other_networks_and_wrong_dims():
+    with pytest.raises(UnsupportedModel):
+        nn.jacobian(nn.LyapunovCandidate(make_icnn(), eps_quad=1e-3), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        nn.jacobian(small_mlp(), np.zeros(3))
 
 
 def test_lyapunov_zero_at_origin_and_positive():
