@@ -32,8 +32,8 @@ SCHUR_MARGIN = 1e-12
 
 def _eigvals(K):
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[0] != K.shape[1]:
-        raise DimensionMismatch("matrix must be square")
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise DimensionMismatch(f"matrix must be square and 2-D, got shape {K.shape}")
     if not np.all(np.isfinite(K)):
         raise ValueError("matrix must be finite")
     try:

@@ -3,7 +3,9 @@ verification, filter simulation, conformal calibration, and GP fitting jobs,
 and bundles five self-contained demos.
 
 Exit codes: 0 all checks passed, 1 a violation or counterexample was found,
-2 usage error, malformed config, or infeasible problem. Reports are JSON,
+2 usage error, malformed config, or infeasible problem, 3 inconclusive: no
+check failed but one decided nothing (its "passed" is null), such as a
+network bound that is neither certified nor falsified. Reports are JSON,
 written atomically (temp file then rename); identical config and seed give
 byte-identical reports apart from the wall-time field.
 """
@@ -12,6 +14,7 @@ import argparse
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 import tempfile
@@ -61,12 +64,20 @@ def write_json_atomic(obj, path):
         raise
 
 
-def _report(task, status, checks, seed, started, extra=None):
+# the exit code of each report status; usage and config errors exit 2
+_EXIT_CODES = {"pass": 0, "violation": 1, "inconclusive": 3}
+
+
+def _report(task, checks, seed, started, extra=None):
+    """A report whose status follows from its checks, each of which passed
+    (True), failed (False) or decided nothing (None): violation if any
+    failed, else inconclusive if any decided nothing, else pass."""
+    passed = [c["passed"] for c in checks]
     rep = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "task": task,
-        "status": status,
+        "status": "violation" if False in passed else "inconclusive" if None in passed else "pass",
         "checks": checks,
         "seed": seed,
         "wall_time_s": round(time.monotonic() - started, 6),
@@ -85,17 +96,43 @@ def _require(cfg, key, kind=None):
     return v
 
 
-def _number(cfg, key, kind, default):
-    """cfg[key] (or default) as a kind (int or float); a value that is not a
-    finite number, or for int not a whole one, is a config error."""
+def _choice(cfg, key, options, default=None):
+    """cfg[key] (or default), which must be one of options."""
+    v = cfg.get(key, default)
+    if v not in options:
+        raise ConfigError(f"config field '{key}' is {v!r}; choose one of {options}")
+    return v
+
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def _number(cfg, key, kind, default, *, ge=None, gt=None, le=None, lt=None):
+    """cfg[key] (or default) as a kind (int or float) with v >= ge, v > gt,
+    v <= le and v < lt for each bound given; a value that is not a finite
+    number, for int not a whole one, or out of range is a config error."""
+    bounds = [(op, b) for op, b in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if b is not None]
     v = cfg.get(key, default)
     try:  # math.isfinite raises OverflowError on an int beyond float range
         if not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v):
-            if kind is float or v == math.floor(v):
+            if (kind is float or v == math.floor(v)) and all(_COMPARE[op](v, b) for op, b in bounds):
                 return kind(v)
     except OverflowError:
         pass
-    raise ConfigError(f"config field '{key}' must be a finite {'integer' if kind is int else 'number'}")
+    rule = " and ".join(f"{op} {b}" for op, b in bounds)
+    name = "integer" if kind is int else "number"
+    raise ConfigError(f"config field '{key}' must be a finite {name} {rule}".rstrip())
+
+
+def _array(key, v, ndim):
+    """v as a non-empty float array of ndim dimensions and finite entries."""
+    try:
+        a = np.array(v, dtype=float)
+    except (TypeError, ValueError) as e:  # text, objects, ragged rows
+        raise ConfigError(f"config field '{key}' is not numeric") from e
+    if a.ndim != ndim or a.size == 0 or not np.isfinite(a).all():
+        raise ConfigError(f"config field '{key}' must be a non-empty {ndim}-D array of finite numbers")
+    return a
 
 
 def _read_file(key, path, load, **kwargs):
@@ -115,30 +152,32 @@ def _load_matrix(cfg, key):
     v = _require(cfg, key)
     if isinstance(v, str):
         v = _read_file(key, v, _load_json)
-    try:
-        return np.array(v, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config field '{key}' is not a numeric matrix") from e
+    return _array(key, v, 2)
 
 
 def _load_network(cfg, key="network"):
-    """An inline network dict, or a JSON weight file (see `nn.save_network`)."""
+    """An inline scalar-output mlp dict, or a JSON weight file holding one
+    (see `nn.save_network`)."""
     v = _require(cfg, key)
     if isinstance(v, str):
         v = _read_file(key, v, _load_json)
     if not isinstance(v, dict):
         raise ConfigError(f"config field '{key}' is not a network object")
     try:
-        return nn.network_from_dict(v)
+        net = nn.network_from_dict(v)
     except (KeyError, TypeError, ValueError, CertikitError) as e:
         raise ConfigError(f"config field '{key}' is not a valid network: {e!r}") from e
+    if not isinstance(net, nn.Mlp) or net.out_dim != 1:
+        raise ConfigError(f"config field '{key}' must be a scalar-output mlp")
+    return net
 
 
 def _box_from_cfg(cfg, key="region"):
     v = _require(cfg, key, dict)
+    lower, upper = (_array(f"{key}.{k}", _require(v, k), 1) for k in ("lower", "upper"))
     try:
-        return geom.Box(*(np.array(_require(v, k), dtype=float) for k in ("lower", "upper")))
-    except ValueError as e:  # non-numeric bounds, or lower > upper
+        return geom.Box(lower, upper)
+    except ValueError as e:  # lower > upper
         raise ConfigError(f"config field '{key}': {e}") from e
 
 
@@ -150,7 +189,7 @@ def _task_certify(cfg, seed, started):
     rho = certify.spectral_radius(K)
     schur = certify.is_schur(K)
     checks = [{"name": "schur_stable", "passed": schur, "spectral_radius": rho}]
-    return _report("certify", "pass" if schur else "violation", checks, seed, started)
+    return _report("certify", checks, seed, started)
 
 
 def _task_reach(cfg, seed, started):
@@ -161,29 +200,21 @@ def _task_reach(cfg, seed, started):
         raise ConfigError(
             f"config field 'region' has dimension {box.dim}; 'matrix' needs {model.state_dim}"
         )
-    steps = _number(cfg, "steps", int, 1)
-    method = cfg.get("method", "interval")
-    if method == "interval":
+    steps = _number(cfg, "steps", int, 1, ge=1)
+    if _choice(cfg, "method", ("interval", "sampled"), "interval") == "interval":
         res = reach.propagate_interval(model, box, steps)
-    elif method == "sampled":
-        try:
-            rcfg = reach.ReachConfig(
-                steps=steps,
-                template=cfg.get("template", "ball_union"),
-                n_samples=_number(cfg, "n_samples", int, 200),
-                eps=_number(cfg, "eps", float, 0.05),
-                delta=_number(cfg, "delta", float, 0.1),
-                seed=seed,
-            )
-        except ValueError as e:
-            raise ConfigError(f"reach config: {e}") from e
-        res = reach.reach_sampled(model, box, rcfg)
     else:
-        raise ConfigError(f"unknown reach method '{method}'")
+        rcfg = reach.ReachConfig(
+            steps=steps,
+            template=_choice(cfg, "template", reach.TEMPLATES, "ball_union"),
+            n_samples=_number(cfg, "n_samples", int, 200, ge=1),
+            eps=_number(cfg, "eps", float, 0.05, ge=0),
+            delta=_number(cfg, "delta", float, 0.1, gt=0, lt=1),
+            seed=seed,
+        )
+        res = reach.reach_sampled(model, box, rcfg)
     checks = [{"name": "reach_completed", "passed": True, "guarantee": res.guarantee}]
-    return _report(
-        "reach", "pass", checks, seed, started, {"result": res.to_dict()}
-    )
+    return _report("reach", checks, seed, started, {"result": res.to_dict()})
 
 
 def _task_verify_nn(cfg, seed, started):
@@ -191,16 +222,14 @@ def _task_verify_nn(cfg, seed, started):
     box = _box_from_cfg(cfg)
     if box.dim != net.in_dim:
         raise ConfigError(f"config field 'region' has dimension {box.dim}; 'network' needs {net.in_dim}")
-    tol = _number(cfg, "tol", float, 1e-6)
-    budget = _number(cfg, "budget", int, 100000)
-    if budget < 1:
-        raise ConfigError("config field 'budget' must be >= 1")
+    tol = _number(cfg, "tol", float, 1e-6, ge=0)
+    budget = _number(cfg, "budget", int, 100000, ge=1)
     out = milp.verify_positivity(net, box, tol=tol, node_budget=budget)
-    passed = out.status == "Certified"
     checks = [
         {
             "name": "network_positivity",
-            "passed": passed,
+            # a BoundOnly bound proves neither sign
+            "passed": {"Certified": True, "Falsified": False}.get(out.status),
             "status": out.status,
             "bound": out.bound,
             "counterexample": None
@@ -209,8 +238,7 @@ def _task_verify_nn(cfg, seed, started):
             "nodes_explored": out.nodes_explored,
         }
     ]
-    status = "pass" if passed else "violation"
-    return _report("verify-nn", status, checks, seed, started)
+    return _report("verify-nn", checks, seed, started)
 
 
 def _cbf_integrator_sim(x0, n_steps, dt, kappa, u_lim, nominal):
@@ -248,82 +276,59 @@ def _cbf_integrator_sim(x0, n_steps, dt, kappa, u_lim, nominal):
 
 
 def _task_filter_sim(cfg, seed, started):
-    n_steps = _number(cfg, "steps", int, 1000)
+    n_steps = _number(cfg, "steps", int, 1000, ge=1)
     checks, _ = _cbf_integrator_sim(
         _number(cfg, "x0", float, 0.0),
         n_steps,
-        _number(cfg, "dt", float, 0.01),
-        _number(cfg, "kappa", float, 1.0),
-        _number(cfg, "u_limit", float, 2.0),
+        _number(cfg, "dt", float, 0.01, gt=0),
+        _number(cfg, "kappa", float, 1.0, gt=0),
+        _number(cfg, "u_limit", float, 2.0, ge=0),
         lambda k: 1.5 * np.sin(0.002 * k),
     )
-    status = "pass" if all(c["passed"] for c in checks) else "violation"
-    return _report("filter-sim", status, checks, seed, started, {"steps": n_steps})
+    return _report("filter-sim", checks, seed, started, {"steps": n_steps})
 
 
 def _task_conformal(cfg, seed, started):
-    delta = _number(cfg, "delta", float, 0.1)
+    delta = _number(cfg, "delta", float, 0.1, gt=0, lt=1)
     if "scores_csv" in cfg:
-        lon, lat = _read_file("scores_csv", cfg["scores_csv"], conformal.load_score_csv)
+        lon, lat = _read_file("scores_csv", _require(cfg, "scores_csv", str), conformal.load_score_csv)
         cal_lon, cal_lat = conformal.calibrate_2d(lon, lat, delta)
         cal_out = {"lon": cal_lon.to_dict(), "lat": cal_lat.to_dict()}
-        passed = True
     else:
-        scores = np.array(_require(cfg, "scores", list), dtype=float)
-        cal = conformal.calibrate(scores, delta)
-        cal_out = cal.to_dict()
-        passed = True
-    checks = [{"name": "calibration", "passed": passed, "delta": delta}]
-    return _report("conformal", "pass", checks, seed, started, {"calibration": cal_out})
+        cal_out = conformal.calibrate(_array("scores", _require(cfg, "scores", list), 1), delta).to_dict()
+    checks = [{"name": "calibration", "passed": True, "delta": delta}]
+    return _report("conformal", checks, seed, started, {"calibration": cal_out})
 
 
 def _task_gpphs(cfg, seed, started):
-    data = GpPhsDatasetFromCfg(cfg)
+    noise_var = _number(cfg, "noise_var", float, 0.0, ge=0)
+    try:
+        if "dataset_csv" in cfg:
+            path = _require(cfg, "dataset_csv", str)
+            raw = _read_file("dataset_csv", path, np.loadtxt, delimiter=",", skiprows=1, ndmin=2)
+            d = _number(cfg, "state_dim", int, raw.shape[1] - 1, ge=1, le=raw.shape[1] - 1)
+            data = gpphs.dataset_from_trajectory(raw[:, 0], raw[:, 1 : 1 + d], raw[:, 1 + d :], noise_var)
+        else:
+            X = _array("states", _require(cfg, "states"), 2)
+            U = np.array(cfg.get("inputs") or np.zeros((len(X), 0)), dtype=float).reshape(len(X), -1)
+            data = gpphs.GpPhsDataset(X, _array("derivs", _require(cfg, "derivs"), 2), U, noise_var)
+    except (TypeError, ValueError) as e:  # ragged or mismatched rows, non-finite values
+        raise ConfigError(f"gpphs dataset: {e}") from e
     try:
         init = gpphs.params_from_dict(_require(cfg, "init_params", dict))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'init_params': {e!r}") from e
-    budget = _number(cfg, "budget", int, 100)
-    if budget < 1:
-        raise ConfigError("config field 'budget' must be >= 1")
-    fitted = gpphs.fit(data, init, budget)
-    val = gpphs.nlml(fitted, data)
-    checks = [{"name": "fit_completed", "passed": True, "nlml": val}]
-    return _report(
-        "gpphs",
-        "pass",
-        checks,
-        seed,
-        started,
-        {"fitted_params": gpphs.params_to_dict(fitted)},
-    )
-
-
-def GpPhsDatasetFromCfg(cfg) -> gpphs.GpPhsDataset:
-    if "dataset_csv" in cfg:
-        raw = _read_file("dataset_csv", cfg["dataset_csv"], np.loadtxt, delimiter=",", skiprows=1, ndmin=2)
-        d = _number(cfg, "state_dim", int, raw.shape[1] - 1)
-        if not 1 <= d <= raw.shape[1] - 1:
-            raise ConfigError(
-                f"config field 'state_dim' is {d}; 'dataset_csv' has {raw.shape[1] - 1} columns after the time"
-            )
-        t = raw[:, 0]
-        X = raw[:, 1 : 1 + d]
-        U = raw[:, 1 + d :]
-        return gpphs.dataset_from_trajectory(t, X, U, _number(cfg, "noise_var", float, 0.0))
-    try:
-        return gpphs.GpPhsDataset(
-            np.array(_require(cfg, "states"), dtype=float),
-            np.array(_require(cfg, "derivs"), dtype=float),
-            np.array(cfg.get("inputs", []), dtype=float).reshape(
-                len(cfg["states"]), -1
-            )
-            if cfg.get("inputs")
-            else np.zeros((len(cfg["states"]), 0)),
-            _number(cfg, "noise_var", float, 0.0),
+    if not all(np.isfinite(v).all() for v in gpphs.params_to_dict(init).values()):
+        raise ConfigError("config field 'init_params' must hold finite numbers")
+    m = data.inputs.shape[1]
+    if init.dim != data.dim or init.phi_g.size != data.dim * m:
+        raise ConfigError(
+            f"config field 'init_params' has dimension {init.dim} and {init.phi_g.size} phi_g entries;"
+            f" the dataset needs {data.dim} and {data.dim * m}"
         )
-    except ValueError as e:  # ragged or mismatched rows, non-finite values
-        raise ConfigError(f"gpphs dataset: {e}") from e
+    fitted = gpphs.fit(data, init, _number(cfg, "budget", int, 100, ge=1))
+    checks = [{"name": "fit_completed", "passed": True, "nlml": gpphs.nlml(fitted, data)}]
+    return _report("gpphs", checks, seed, started, {"fitted_params": gpphs.params_to_dict(fitted)})
 
 
 _HANDLERS = {
@@ -341,18 +346,14 @@ def run(config, out_path=None, seed=None):
     started = time.monotonic()
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    task = _require(config, "task", str)
-    if task not in TASKS:
-        raise ConfigError(f"unknown task '{task}'; choose one of {TASKS}")
-    if seed is None:
-        seed = _number(config, "seed", int, 0)
+    task = _choice(config, "task", TASKS)
+    seed = _number(config if seed is None else {"seed": seed}, "seed", int, 0, ge=0)
     report = _HANDLERS[task](config, seed, started)
     if out_path is None:
         out_path = config.get("out")
     if out_path:
         write_json_atomic(report, out_path)
-    code = 0 if report["status"] == "pass" else 1
-    return report, code
+    return report, _EXIT_CODES[report["status"]]
 
 
 # -- demos -----------------------------------------------------------------
@@ -364,10 +365,8 @@ def _demo_integrator_cbf(seed, started, n_steps=100_000):
     checks, n_filtered = _cbf_integrator_sim(
         0.0, n_steps, dt=0.01, kappa=1.0, u_lim=2.0, nominal=lambda k: 1.5 + 0.5 * np.sin(2e-4 * k)
     )
-    status = "pass" if all(c["passed"] for c in checks) else "violation"
     return _report(
         "demo:integrator-cbf",
-        status,
         checks,
         seed,
         started,
@@ -425,7 +424,6 @@ def _demo_bicycle_conformal(seed, started):
     ]
     return _report(
         "demo:bicycle-conformal",
-        "pass" if passed else "violation",
         checks,
         seed,
         started,
@@ -468,8 +466,7 @@ def _demo_koopman_stability(seed, started):
             "worst_excess": float(worst_excess),
         },
     ]
-    status = "pass" if all(c["passed"] for c in checks) else "violation"
-    return _report("demo:koopman-stability", status, checks, seed, started)
+    return _report("demo:koopman-stability", checks, seed, started)
 
 
 def _demo_gp_massspring(seed, started):
@@ -499,10 +496,8 @@ def _demo_gp_massspring(seed, started):
         {"name": "interpolation", "passed": bool(interp_err <= 1e-6), "max_error": interp_err},
         {"name": "field_rms", "passed": bool(rel <= 0.05), "relative_rms": rel},
     ]
-    status = "pass" if all(c["passed"] for c in checks) else "violation"
     return _report(
         "demo:gp-massspring",
-        status,
         checks,
         seed,
         started,
@@ -532,9 +527,7 @@ def _demo_reach_rotation(seed, started):
             "steps": k,
         }
     ]
-    return _report(
-        "demo:reach-rotation", "pass" if passed else "violation", checks, seed, started
-    )
+    return _report("demo:reach-rotation", checks, seed, started)
 
 
 _DEMO_HANDLERS = {
@@ -551,10 +544,11 @@ def demo(name, seed=0, out_path=None, **kwargs):
     started = time.monotonic()
     if name not in _DEMO_HANDLERS:
         raise UnknownDemo(f"unknown demo '{name}'; choose one of {DEMOS}")
+    seed = _number({"seed": seed}, "seed", int, 0, ge=0)
     report = _DEMO_HANDLERS[name](seed, started, **kwargs)
     if out_path:
         write_json_atomic(report, out_path)
-    return report, 0 if report["status"] == "pass" else 1
+    return report, _EXIT_CODES[report["status"]]
 
 
 def main(argv=None):

@@ -230,7 +230,6 @@ class ControlAffineODE:
     input_map: object  # callable x -> (n, m) matrix
     state_dim: int
     input_dim: int
-    kind: str = "custom"
 
     def f(self, x):
         return np.asarray(self.drift(x), dtype=float)
@@ -250,7 +249,6 @@ def linear_ode(A, B=None):
         input_map=lambda x, B=B: B,
         state_dim=n,
         input_dim=B.shape[1],
-        kind="linear",
     )
 
 
@@ -317,7 +315,6 @@ def phs_ode(sys: PhsSystem) -> ControlAffineODE:
         input_map=lambda x, G=sys.G: G,
         state_dim=sys.state_dim,
         input_dim=sys.input_dim,
-        kind="phs",
     )
 
 

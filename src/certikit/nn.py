@@ -67,6 +67,8 @@ class Layer:
     def __post_init__(self):
         W = np.atleast_2d(np.asarray(self.W, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
+        if W.ndim != 2:
+            raise DimensionMismatch(f"weight matrix must be 2-D, got {W.ndim}-D")
         if b.size != W.shape[0]:
             raise DimensionMismatch("bias length must match output rows")
         if not np.all(np.isfinite(W)) or not np.all(np.isfinite(b)):

@@ -16,7 +16,8 @@ Solves  min 1/2 z'Pz + q'z  s.t.  l <= Az <= u  with P symmetric PSD.
    right sign. Otherwise the most violated inactive row is added, or the
    worst wrong-signed row dropped, and the KKT system solved again, at most
    m + n times; when neither applies, the solve is repeated once with a step
-   of iterative refinement.
+   of iterative refinement, and that answer's stationarity residual may also
+   meet the normwise bound of the whole KKT solve (see `LdpSolver.solve`).
 
 PrimalInfeasible carries a Farkas vector y (A'y = 0, u'y+ + l'y- < 0) whose
 weights are re-solved on the NNLS support without the regularisation;
@@ -224,6 +225,13 @@ class LdpSolver:
             elif not refine:
                 refine = True  # the active set stands: refine its solve
                 continue
+            elif (viol <= tol_p).all() and r_dual <= gamma * ((absP.sum(1) + absA.sum(0)).max() * size + absq.max()):
+                # the refined solve of a standing active set may also meet the
+                # normwise bound of the KKT solve, gamma(max row sum of |[P A']|
+                # * max(|z|, |y|) + |q|): tol_d shrinks to nothing when every
+                # term of Pz + q + A'y is near 0, as at an optimum with zero
+                # multipliers where P weighs only coordinates that are 0
+                return QpSolution(z, y, "Optimal", r_prim, r_dual, it, float(prob.objective(z)))
             else:
                 break
             refine = False

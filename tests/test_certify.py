@@ -29,6 +29,14 @@ def test_spectral_radius_validation():
         certify.spectral_radius(np.array([[np.nan]]))
 
 
+def test_spectral_radius_rejects_arrays_that_are_not_2d():
+    # a 3-D array would otherwise run batched eigvals
+    with pytest.raises(DimensionMismatch):
+        certify.spectral_radius(np.ones((1, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        certify.is_schur(np.ones((1, 1, 1)))
+
+
 def test_svd_clamp_band_and_schur():
     rng = np.random.default_rng(0)
     d = 4

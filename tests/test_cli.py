@@ -1,13 +1,28 @@
 """CLI dispatch, exit codes, atomic report writing, and demo plumbing."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certikit import cli, nn
 from certikit.errors import ConfigError, UnknownDemo
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which strict JSON has no words for."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_main(tmp_path, config, seed=None):
@@ -18,7 +33,7 @@ def run_main(tmp_path, config, seed=None):
     if seed is not None:
         argv += ["--seed", str(seed)]
     code = cli.main(argv)
-    report = json.loads(out_path.read_text()) if out_path.exists() else None
+    report = strict_json(out_path.read_text()) if out_path.exists() else None
     return code, report
 
 
@@ -98,6 +113,13 @@ GP_PARAMS = {"sigma_f": 1.0, "lengthscales": [0.5, 0.5], "phi_j": [1.0], "phi_r"
 GP_JOB = {"task": "gpphs", "states": GP_STATES, "derivs": GP_STATES, "init_params": GP_PARAMS}
 NET_1D = {"kind": "mlp", "layers": [{"w": [[1.0]], "b": [0.5], "act": "identity"}]}
 NN_JOB = {"task": "verify-nn", "network": NET_1D, "region": REGION}
+# f(x) = relu(x + 0.5) on [-1, 1]: its minimum is exactly 0, and the MILP bound
+# lands a few ulps below it, so the job proves neither sign
+RELU_SHIFT = {
+    "kind": "mlp",
+    "layers": [{"w": [[1.0]], "b": [0.5], "act": "relu"}, {"w": [[1.0]], "b": [0.0], "act": "identity"}],
+}
+GP_PARAMS_3D = {"sigma_f": 1.0, "lengthscales": [0.5] * 3, "phi_j": [1.0] * 3, "phi_r": [0.0] * 6, "phi_g": []}
 
 
 @pytest.mark.parametrize(
@@ -127,6 +149,27 @@ NN_JOB = {"task": "verify-nn", "network": NET_1D, "region": REGION}
         {**NN_JOB, "tol": "1e-6"},
         {"task": "conformal", "scores": [1.0, 2.0], "delta": None},
         {**GP_JOB, "budget": True},
+        {"task": "filter-sim", "kappa": -1},
+        {"task": "filter-sim", "u_limit": -1},
+        {"task": "filter-sim", "steps": 0},
+        {"task": "filter-sim", "dt": 0},
+        {"task": "filter-sim", "dt": -0.01},
+        {"task": "certify", "matrix": [["nan"]]},
+        {"task": "certify", "matrix": [[[1]]]},
+        {**NN_JOB, "network": {"kind": "mlp", "layers": [{"w": [[1.0], [2.0]], "b": [0.5, 0.0], "act": "identity"}]}},
+        {**NN_JOB, "network": {"kind": "icnn", "layers": [{"w": [[1.0]], "b": [0.5], "act": "relu"}]}},
+        {**NN_JOB, "network": {"kind": "mlp", "layers": [{"w": [[[1.0]]], "b": [0.5], "act": "identity"}]}},
+        {**NN_JOB, "tol": -1},
+        {"task": "conformal", "scores": [1.0, 2.0], "delta": 2},
+        {"task": "conformal", "scores": ["a"]},
+        {**GP_JOB, "init_params": GP_PARAMS_3D},
+        {**GP_JOB, "inputs": [[1.0], [0.0], [2.0]]},
+        {**GP_JOB, "states": [], "derivs": []},
+        {**GP_JOB, "init_params": {**GP_PARAMS, "phi_g": [1, 1]}},
+        {"task": "reach", "matrix": [[0.5]], "region": REGION, "method": "sampled", "seed": -1},
+        {"task": "reach", "matrix": [[0.5]], "region": REGION, "steps": 0},
+        {"task": "reach", "matrix": [[0.5]], "region": REGION, "steps": -2},
+        {"task": "reach", "matrix": [["nan", 0], [0, 1]], "region": {"lower": [-1, -1], "upper": [1, 1]}},
     ],
     ids=[
         "certify-matrix",
@@ -153,6 +196,27 @@ NN_JOB = {"task": "verify-nn", "network": NET_1D, "region": REGION}
         "verify-nn-tol-text",
         "conformal-delta-null",
         "gpphs-budget-bool",
+        "filter-sim-kappa-negative",
+        "filter-sim-u-limit-negative",
+        "filter-sim-steps-zero",
+        "filter-sim-dt-zero",
+        "filter-sim-dt-negative",
+        "certify-matrix-nan",
+        "certify-matrix-3d",
+        "verify-nn-two-outputs",
+        "verify-nn-icnn",
+        "verify-nn-layer-3d",
+        "verify-nn-tol-negative",
+        "conformal-delta-two",
+        "conformal-scores-text",
+        "gpphs-init-params-dimension",
+        "gpphs-inputs-without-phi-g",
+        "gpphs-states-empty",
+        "gpphs-phi-g-without-inputs",
+        "reach-seed-negative",
+        "reach-steps-zero",
+        "reach-steps-negative",
+        "reach-matrix-nan",
     ],
 )
 def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
@@ -160,7 +224,103 @@ def test_malformed_job_exit_two(tmp_path, monkeypatch, capsys, config):
     code, report = run_main(tmp_path, config)
     assert code == 2
     assert report is None
-    assert capsys.readouterr().err.startswith("certikit: ")
+    err = capsys.readouterr().err
+    assert err.startswith("certikit: ") and len(err.splitlines()) == 1
+
+
+def test_negative_seed_flag_exit_two(tmp_path, capsys):
+    code, report = run_main(tmp_path, {"task": "certify", "matrix": [[0.5]]}, seed=-1)
+    assert code == 2 and report is None
+    assert cli.main(["--demo", "reach-rotation", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.count("certikit: config field 'seed'") == 2
+
+
+def test_verify_nn_bound_only_is_inconclusive(tmp_path):
+    code, rep = run_main(tmp_path, {**NN_JOB, "network": RELU_SHIFT})
+    assert code == 3
+    assert rep["status"] == "inconclusive"
+    chk = rep["checks"][0]
+    assert chk["status"] == "BoundOnly" and chk["passed"] is None
+    assert -1e-9 < chk["bound"] <= 0.0
+
+
+def _paths(cfg, prefix=()):
+    """Key paths to every field of a config, nested objects included."""
+    for k, v in cfg.items():
+        yield prefix + (k,)
+        if isinstance(v, dict):
+            yield from _paths(v, prefix + (k,))
+
+
+def _negate(v):
+    if isinstance(v, (int, float)):
+        return -v if v else -1
+    if isinstance(v, list):
+        return [_negate(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _negate(x) for k, x in v.items()}
+    return "-" + v
+
+
+_WRONG_TYPE = {str: 2.5, int: "1", float: "1.0", list: {"k": 1.0}, dict: [1.0]}
+_MUTATIONS = {
+    "wrong_type": lambda v: _WRONG_TYPE[type(v)],
+    "nan": lambda v: math.nan,
+    "negative": _negate,
+    "empty": lambda v: type(v)() if isinstance(v, (str, list, dict)) else [],
+}
+# one small valid job per task, with every optional field spelled out
+FUZZ_JOBS = [
+    {"task": "certify", "matrix": [[0.5, 0.1], [0.0, 0.5]]},
+    {
+        "task": "reach",
+        "matrix": [[0.9, -0.2], [0.2, 0.9]],
+        "region": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "steps": 2,
+        "method": "sampled",
+        "template": "interval",
+        "n_samples": 20,
+        "eps": 0.05,
+        "delta": 0.1,
+        "seed": 1,
+    },
+    {**NN_JOB, "tol": 1e-6, "budget": 10},
+    {"task": "filter-sim", "steps": 20, "x0": 0.5, "dt": 0.01, "kappa": 1.0, "u_limit": 2.0},
+    {"task": "conformal", "scores": [float(i) for i in range(1, 21)], "delta": 0.2},
+    {**GP_JOB, "inputs": [], "noise_var": 1e-4, "budget": 5},
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_field_never_escapes_main(data):
+    # one field of a valid job made wrong (of the wrong type, NaN, negated,
+    # empty or missing): main exits 0-3 and never raises; an exit 2 prints one
+    # certikit: line and writes no report; any report is strict JSON
+    job = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_JOBS))))
+    path = data.draw(st.sampled_from(list(_paths(job))))
+    how = data.draw(st.sampled_from(["missing", *_MUTATIONS]))
+    parent = job
+    for k in path[:-1]:
+        parent = parent[k]
+    if how == "missing":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _MUTATIONS[how](parent[path[-1]])
+    with tempfile.TemporaryDirectory() as d:
+        cfg_path, out_path = os.path.join(d, "job.json"), os.path.join(d, "report.json")
+        with open(cfg_path, "w") as f:
+            json.dump(job, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--config", cfg_path, "--out", out_path])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert not os.path.exists(out_path)
+            assert sum(line.startswith("certikit:") for line in err.getvalue().splitlines()) == 1
+        else:
+            with open(out_path) as f:
+                strict_json(f.read())
 
 
 @pytest.mark.parametrize("state_dim", [0, 3, 5])
@@ -250,3 +410,4 @@ def test_demo_determinism_excluding_walltime():
     r1.pop("wall_time_s")
     r2.pop("wall_time_s")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    strict_json(json.dumps(r1))

@@ -156,7 +156,6 @@ def test_psf_nonlinear_sqp_runs():
         input_map=lambda x: np.array([[1.0]]),
         state_dim=1,
         input_dim=1,
-        kind="custom",
     )
     psf_model = dyn._OdeMapAdapter(ode, 0.1)
     cfg = filters.PsfConfig(
@@ -171,9 +170,10 @@ def test_psf_nonlinear_sqp_runs():
     assert -1.0 <= u0[0] <= 1.0
 
 
-def test_psf_learned_network_model_episode():
-    # the filter-loop benchmark's learned model: a 16-unit sigmoid MLP fitted
-    # to the N = 10 double integrator by least squares on its output layer
+def _double_integrator_models():
+    """The filter-loop benchmark's N = 10 double integrator: its exact linear
+    model, its learned model (a 16-unit sigmoid MLP fitted by least squares on
+    its output layer) and the PSF config."""
     dt = 0.1
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt**2], [dt]])
@@ -183,13 +183,17 @@ def test_psf_learned_network_model_episode():
     H = np.hstack([1.0 / (1.0 + np.exp(-(Z @ W1.T + b1))), np.ones((800, 1))])
     coef, *_ = np.linalg.lstsq(H, Z[:, :2] @ A.T + Z[:, 2:] @ B.T, rcond=None)
     net = nn.Mlp((nn.Layer(W1, b1, "sigmoid"), nn.Layer(coef[:-1].T, coef[-1], "identity")))
-    model = dyn.NetworkMap(net, input_dim=1)
     cfg = filters.PsfConfig(
         horizon=10,
         state_set=geom.Box([-1.0, -1.0], [1.0, 1.0]),
         input_set=geom.Box([-1.0], [1.0]),
         terminal_set=geom.Box([-0.8, 0.0], [0.8, 0.0]),
     )
+    return dyn.LinearMap(A, B), dyn.NetworkMap(net, input_dim=1), cfg
+
+
+def test_psf_learned_network_model_episode():
+    _, model, cfg = _double_integrator_models()
     psf = filters.PredictiveSafetyFilter(model, cfg)
     x = np.array([0.3, 0.1])
     interventions = 0
@@ -202,6 +206,18 @@ def test_psf_learned_network_model_episode():
         x = dyn.step(model, x, u)
         assert np.all(np.abs(x) <= 1.0 + 1e-6)
     assert interventions >= 1  # the last tick brakes before the wall
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["exact", "learned"])
+@pytest.mark.parametrize("u_nom", [0.0, -0.0])
+def test_psf_zero_nominal_input(learned, u_nom):
+    # with u_nom = 0 the plan's cost has no linear term and weighs only u0, so
+    # every term of the optimum's stationarity residual is near 0; the QP
+    # answer must still be certified
+    exact, network, cfg = _double_integrator_models()
+    u, diag = filters.PredictiveSafetyFilter(network if learned else exact, cfg).filter([0.25, -0.05], [u_nom])
+    assert diag["qp_status"] == "Optimal"
+    assert abs(u[0]) <= 1e-12
 
 
 def test_psf_double_integrator_qp_is_kkt_exact():

@@ -45,6 +45,12 @@ def test_layer_validation():
         nn.Mlp((nn.Layer(np.eye(2), np.zeros(2)), nn.Layer(np.ones((1, 3)), np.zeros(1))))
 
 
+def test_layer_rejects_weights_that_are_not_2d():
+    # a 3-D W would pass the bias check (shape[0] == 1) and fail later, deep in milp
+    with pytest.raises(DimensionMismatch):
+        nn.Layer(np.ones((1, 1, 1)), np.zeros(1))
+
+
 def make_icnn(u_entry=1.0):
     return nn.Icnn(
         W=(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.5, 0.5]])),

@@ -153,6 +153,17 @@ def test_ill_conditioned_p_refines_the_kkt_solve():
     np.testing.assert_allclose(sol.z, x, atol=1e-8)
 
 
+def test_zero_multipliers_with_every_stationarity_term_near_zero():
+    # min 1/2 z0^2 s.t. z1 - z0 = 0.25: the optimum (0, 0.25) has multiplier 0,
+    # and P weighs only z0 = 0, so the per-gradient bound on P z + q + A'y is
+    # about |y|; the refined answer meets the normwise bound of the KKT solve
+    prob = qp.QProblem(np.diag([1.0, 0.0]), np.zeros(2), np.array([[-1.0, 1.0]]), np.array([0.25]), np.array([0.25]))
+    sol = qp.solve(prob)
+    assert sol.status == "Optimal" and sol.iterations == 2
+    np.testing.assert_allclose(sol.z, [0.0, 0.25], atol=1e-15)
+    assert abs(sol.dual[0]) <= 1e-15
+
+
 def test_validation_rejects_bad_problems():
     with pytest.raises(ValueError):
         qp.QProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), np.eye(2), np.zeros(2), np.ones(2))
