@@ -7,10 +7,15 @@ bound propagation, so the LP relaxations stay tight; neurons whose
 preactivation sign is fixed over the region are encoded affinely with no
 binary variable.
 
-Node LPs are solved by scipy's HiGHS, but no node bound trusts its optimum:
-each bound is recomputed in floating point from the row multipliers by the
-safe dual rule of Neumaier & Shcherbina (Math. Prog. 2004), which holds for
-any nonnegative multipliers, so an inexact solve can only loosen it.
+Node LPs are solved by HiGHS, through one model per search that is passed
+to the solver once: each node changes only the column bounds and solves
+cold, along the same path as scipy's `linprog(method="highs")`. No node
+bound trusts the solver's optimum: each bound is recomputed in floating
+point from the row multipliers by the safe dual rule of Neumaier &
+Shcherbina (Math. Prog. 2004), which holds for any nonnegative multipliers,
+so an inexact solve can only loosen it. An infeasible node is pruned only by
+a checked Farkas ray: HiGHS's dual ray, or failing that the multipliers of
+an elastic LP, must give a dual bound below 0 with a zero objective.
 """
 
 import heapq
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from . import geom, nn, reach
 from .errors import NoConvergence, UnboundedRegion, UnsupportedActivation, UnsupportedModel
@@ -219,19 +225,74 @@ def _elastic_lp(model: MilpModel, lo, hi):
     return np.maximum(-res.ineqlin.marginals, 0.0), res.x[:n]
 
 
-def _node_lp(model: MilpModel, lo, hi):
-    """(checked upper bound, LP point) of the node with variable box [lo, hi],
-    or None when the node is proven infeasible."""
-    c, A, b = model.objective, model.A, model.b
-    res = linprog(-c, A_ub=A, b_ub=b, bounds=np.column_stack([lo, hi]), method="highs")
-    if res.status == 0:
-        return dual_bound(c, A, b, lo, hi, np.maximum(-res.ineqlin.marginals, 0.0)), res.x
-    if res.status != 2:
-        raise NoConvergence(f"node LP: {res.message}")
-    y, v = _elastic_lp(model, lo, hi)
-    if dual_bound(np.zeros_like(c), A, b, lo, hi, y) < 0:
-        return None
-    return dual_bound(c, A, b, lo, hi, y), v
+class _NodeLp:
+    """The LP relaxation max c.v s.t. A v <= b, lo <= v <= hi of one model as
+    a single HiGHS model; nodes change only its column bounds."""
+
+    # the options linprog(method="highs") sets; simplex_strategy 1 is dual simplex
+    OPTIONS = {
+        "presolve": "on",
+        "highs_debug_level": 0,
+        "log_to_console": False,
+        "output_flag": False,
+        "simplex_strategy": 1,
+    }
+
+    def __init__(self, model: MilpModel):
+        self.model = model
+        m, n = model.A.shape
+        # A column-wise without zeros, as scipy.sparse.csc_array(A) stores it
+        cols, rows = np.nonzero(model.A.T)
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1))
+        lp.a_matrix_.index_ = rows
+        lp.a_matrix_.value_ = model.A.T[cols, rows]
+        lp.col_cost_ = -model.objective
+        lp.col_lower_ = model.lo
+        lp.col_upper_ = model.hi
+        lp.row_lower_ = np.full(m, -np.inf)
+        lp.row_upper_ = model.b
+        self._highs = highs._Highs()
+        for key, value in self.OPTIONS.items():
+            self._highs.setOptionValue(key, value)
+        if self._highs.passModel(lp) == highs.HighsStatus.kError:
+            raise NoConvergence(
+                f"node LP: HiGHS rejected the model (largest |coefficient| {np.abs(model.A).max(initial=0.0):.3g})"
+            )
+        self._cols = np.arange(n, dtype=np.int32)
+
+    def farkas_ray(self):
+        """HiGHS's dual ray of the last (infeasible) solve, or None."""
+        _, has_ray, ray = self._highs.getDualRay()
+        return np.asarray(ray) if has_ray else None
+
+    def solve(self, lo, hi):
+        """(checked upper bound, LP point) of the node with variable box
+        [lo, hi], or None when the node is proven infeasible."""
+        h = self._highs
+        h.clearSolver()  # a cold solve, as a fresh linprog call makes
+        h.changeColsBounds(self._cols.size, self._cols, lo, hi)
+        h.run()
+        status = h.getModelStatus()
+        model = self.model
+        c, A, b = model.objective, model.A, model.b
+        if status == highs.HighsModelStatus.kOptimal:
+            sol = h.getSolution()
+            y = np.maximum(-np.asarray(sol.row_dual), 0.0)
+            return dual_bound(c, A, b, lo, hi, y), np.asarray(sol.col_value)
+        if status != highs.HighsModelStatus.kInfeasible:
+            raise NoConvergence(f"node LP: {h.modelStatusToString(status)}")
+        zero = np.zeros_like(c)
+        ray = self.farkas_ray()
+        if ray is not None and dual_bound(zero, A, b, lo, hi, np.maximum(-ray, 0.0)) < 0:
+            return None
+        y, v = _elastic_lp(model, lo, hi)
+        if dual_bound(zero, A, b, lo, hi, y) < 0:
+            return None
+        return dual_bound(c, A, b, lo, hi, y), v
 
 
 def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> VerifyOutcome:
@@ -247,6 +308,7 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
     if net.out_dim != 1:
         raise ValueError("maximize_output needs a scalar-output network")
     model = encode_network(net, region)
+    lp = _NodeLp(model)
 
     incumbent = -np.inf
     incumbent_x = None
@@ -261,7 +323,7 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
     heap = []
     counter = 0
     dropped = -np.inf  # largest bound of a pruned or closed node
-    root = _node_lp(model, model.lo, model.hi)
+    root = lp.solve(model.lo, model.hi)
     nodes = 1
     if root is None:
         return VerifyOutcome("Certified", -np.inf, None, nodes, 0.0)
@@ -277,7 +339,7 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
         for val in (0.0, 1.0):
             clo, chi = lo.copy(), hi.copy()
             clo[model.binary_idx[kb]] = chi[model.binary_idx[kb]] = val
-            child = _node_lp(model, clo, chi)
+            child = lp.solve(clo, chi)
             nodes += 1
             if child is None:
                 continue

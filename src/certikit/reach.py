@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dyn, geom, nn
-from .errors import NotFixedPoint, SampleSizeOverflow, UnsupportedModel
+from .errors import NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
 
 __all__ = [
     "ReachConfig",
@@ -87,17 +87,23 @@ class InvariantEstimate:
 def _interval_pass(layers, lo, hi, pre_bounds=None):
     """Interval bound propagation through monotone (W, b, activation) layers;
     appends each preactivation box to pre_bounds if given. b = None adds no
-    bias: a zero bias would turn -0.0 bounds into 0.0."""
-    for W, b, activation in layers:
-        c = W @ (0.5 * (lo + hi))
-        r = np.abs(W) @ (0.5 * (hi - lo))
-        if b is not None:
-            c = c + b
-        lo, hi = c - r, c + r
-        if pre_bounds is not None:
-            pre_bounds.append((lo, hi))
-        lo, hi = nn._act(activation, lo), nn._act(activation, hi)
+    bias: a zero bias would turn -0.0 bounds into 0.0. Bounds that overflow
+    come out as inf or nan, without a warning; the callers check them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for W, b, activation in layers:
+            c = W @ (0.5 * (lo + hi))
+            r = np.abs(W) @ (0.5 * (hi - lo))
+            if b is not None:
+                c = c + b
+            lo, hi = c - r, c + r
+            if pre_bounds is not None:
+                pre_bounds.append((lo, hi))
+            lo, hi = nn._act(activation, lo), nn._act(activation, hi)
     return lo, hi
+
+
+def _finite_box(lo, hi):
+    return bool(np.isfinite(lo).all() and np.isfinite(hi).all())
 
 
 def _net_layers(net: nn.Mlp):
@@ -120,18 +126,25 @@ def propagate_interval(model, x0: geom.Box, steps: int) -> ReachResult:
         raise UnsupportedModel("interval propagation needs an autonomous map")
     regions = [x0]
     lo, hi = x0.lower.copy(), x0.upper.copy()
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         lo, hi = _interval_pass(layers, lo, hi)
+        if not _finite_box(lo, hi):
+            raise NonFiniteState(f"interval box overflows at step {k}", step=k)
         regions.append(geom.Box(lo, hi))
     return ReachResult(tuple(regions), "sound_overapprox", {"method": "interval"})
 
 
 def network_preactivation_bounds(net: nn.Mlp, x0: geom.Box):
-    """Per-layer preactivation interval bounds by IBP (used by the MILP encoder)."""
+    """Per-layer preactivation interval bounds by IBP (used by the MILP
+    encoder); raises NonFiniteState, with step the 1-based layer, when a
+    layer's bounds overflow."""
     if any(layer.activation not in ("relu", "identity") for layer in net.layers):
         raise UnsupportedModel("bounds only for relu/identity layers")
     bounds = []
     _interval_pass(_net_layers(net), x0.lower, x0.upper, bounds)
+    for k, (lo, hi) in enumerate(bounds, 1):
+        if not _finite_box(lo, hi):
+            raise NonFiniteState(f"interval bounds overflow at layer {k}", step=k)
     return bounds
 
 

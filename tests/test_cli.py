@@ -388,6 +388,30 @@ def test_reach_task_interval(tmp_path):
     assert len(rep["result"]["regions"]) == 3
 
 
+def test_reach_interval_overflow_exit_two(tmp_path, capsys):
+    job = {"task": "reach", "matrix": [[1e300]], "region": {"lower": [-1], "upper": [1]}, "steps": 3}
+    code, report = run_main(tmp_path, job)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err == "certikit: NonFiniteState: interval box overflows at step 2\n"
+
+
+def test_verify_nn_overflowing_weights_exit_two(tmp_path, capsys):
+    # the hidden bounds are +-1e300 and the output's overflow; HiGHS would
+    # reject the encoding, so the overflow must be reported before it
+    net = {
+        "kind": "mlp",
+        "layers": [
+            {"w": [[1e300], [-1e300]], "b": [0.0, 0.0], "act": "relu"},
+            {"w": [[1e300, 1e300]], "b": [0.0], "act": "identity"},
+        ],
+    }
+    code, report = run_main(tmp_path, {**NN_JOB, "network": net})
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err == "certikit: NonFiniteState: interval bounds overflow at layer 2\n"
+
+
 def test_atomic_write_no_partial_output(tmp_path):
     target = tmp_path / "out" / "r.json"
     os.makedirs(target.parent)

@@ -124,7 +124,7 @@ def test_dual_bound_valid_for_perturbed_multipliers():
             assert bound >= oracle - 1e-12
 
 
-def test_contradicting_binaries_prune_node():
+def _contradicting_node():
     # relu(x - 0.5) and relu(-x - 0.5) cannot both be active on [-1, 1]
     net = relu_net(
         [([[1.0], [-1.0]], [-0.5, -0.5], "relu"), ([[1.0, 1.0]], [0.0], "identity")]
@@ -133,14 +133,134 @@ def test_contradicting_binaries_prune_node():
     assert model.binary_idx.size == 2
     lo, hi = model.lo.copy(), model.hi.copy()
     lo[model.binary_idx] = 1.0
-    assert milp._node_lp(model, lo, hi) is None
-    y, _ = milp._elastic_lp(model, lo, hi)
-    assert milp.dual_bound(np.zeros(model.n_vars), model.A, model.b, lo, hi, y) < 0
+    return net, model, lo, hi
+
+
+def _infeasible_proof(model, lo, hi, y):
+    return milp.dual_bound(np.zeros(model.n_vars), model.A, model.b, lo, hi, y)
+
+
+def test_contradicting_binaries_prune_node(monkeypatch):
+    net, model, lo, hi = _contradicting_node()
+    elastic = milp._elastic_lp
+
+    def no_elastic(*args):
+        raise AssertionError("the HiGHS ray should prune this node")
+
+    monkeypatch.setattr(milp, "_elastic_lp", no_elastic)
+    lp = milp._NodeLp(model)
+    assert lp.solve(lo, hi) is None
+    ray = lp.farkas_ray()
+    assert ray is not None
+    assert _infeasible_proof(model, lo, hi, np.maximum(-ray, 0.0)) < 0
+    y, _ = elastic(model, lo, hi)
+    assert _infeasible_proof(model, lo, hi, y) < 0
+    monkeypatch.setattr(milp, "_elastic_lp", elastic)
     out = milp.maximize_output(net, geom.Box([-1.0], [1.0]))
     assert out.status == "Certified"
     assert out.bound == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("ray", ["none", "zero"])
+def test_elastic_lp_prunes_when_the_ray_fails(monkeypatch, ray):
+    _, model, lo, hi = _contradicting_node()
+    calls = []
+    elastic = milp._elastic_lp
+
+    def counted(*args):
+        calls.append(args)
+        return elastic(*args)
+
+    monkeypatch.setattr(milp, "_elastic_lp", counted)
+    monkeypatch.setattr(milp._NodeLp, "farkas_ray", lambda self: None if ray == "none" else np.zeros(model.A.shape[0]))
+    lp = milp._NodeLp(model)
+    assert lp.solve(lo, hi) is None
+    assert len(calls) == 1
+    assert lp.solve(model.lo, model.hi) is not None  # a feasible node asks for neither
+    assert len(calls) == 1
+
+
+def test_failed_ray_never_prunes(monkeypatch):
+    # the true ray negated, then zero multipliers from the elastic LP: neither
+    # proves the node empty, so it must stay open with a valid bound
+    _, model, lo, hi = _contradicting_node()
+    lp = milp._NodeLp(model)
+    assert lp.solve(lo, hi) is None
+    flipped = -lp.farkas_ray()
+    assert _infeasible_proof(model, lo, hi, np.maximum(-flipped, 0.0)) >= 0
+    monkeypatch.setattr(milp._NodeLp, "farkas_ray", lambda self: flipped)
+    monkeypatch.setattr(milp, "_elastic_lp", lambda m, lo, hi: (np.zeros(m.A.shape[0]), lo.copy()))
+    out = milp._NodeLp(model).solve(lo, hi)
+    assert out is not None
+    assert out[0] == milp.dual_bound(model.objective, model.A, model.b, lo, hi, np.zeros(model.A.shape[0]))
+
+
+def _linprog_node(model, lo, hi):
+    """The node LP through scipy's linprog, checked the same way."""
+    c, A, b = model.objective, model.A, model.b
+    res = linprog(-c, A_ub=A, b_ub=b, bounds=np.column_stack([lo, hi]), method="highs")
+    if res.status == 0:
+        return milp.dual_bound(c, A, b, lo, hi, np.maximum(-res.ineqlin.marginals, 0.0)), res.x
+    assert res.status == 2, res.message
+    y, v = milp._elastic_lp(model, lo, hi)
+    if _infeasible_proof(model, lo, hi, y) < 0:
+        return None
+    return milp.dual_bound(c, A, b, lo, hi, y), v
+
+
+def _medium_net(seed):
+    r = np.random.default_rng(seed)
+    return nn.Mlp(
+        (
+            nn.Layer(r.normal(size=(6, 2)), r.normal(size=6), "relu"),
+            nn.Layer(r.normal(size=(6, 6)) / np.sqrt(6), r.normal(size=6), "relu"),
+            nn.Layer(r.normal(size=(1, 6)), r.normal(size=1), "identity"),
+        )
+    )
+
+
+def test_node_lps_match_linprog_bit_for_bit(monkeypatch):
+    # every node the search visits gets the bound and LP point that a
+    # linprog(method="highs") call on the same LP gives, to the last bit;
+    # nets as in criterion 1 and two 2-6-6-1 nets, each searched for its
+    # maximum and its minimum
+    visited = []
+    solve = milp._NodeLp.solve
+
+    def recorded(self, lo, hi):
+        out = solve(self, lo, hi)
+        visited.append((self.model, lo.copy(), hi.copy(), out))
+        return out
+
+    monkeypatch.setattr(milp._NodeLp, "solve", recorded)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n_in, h = int(rng.integers(1, 3)), int(rng.integers(2, 9))
+        net = nn.Mlp(
+            (
+                nn.Layer(rng.normal(size=(h, n_in)), rng.normal(size=h), "relu"),
+                nn.Layer(rng.normal(size=(1, h)), rng.normal(size=1), "identity"),
+            )
+        )
+        lo = rng.uniform(-2.0, 0.0, n_in)
+        box = geom.Box(lo, lo + rng.uniform(0.5, 2.0, n_in))
+        milp.maximize_output(net, box)
+        milp.verify_positivity(net, box)
+    square = geom.Box([-1.0, -1.0], [1.0, 1.0])
+    for seed in (1002, 1005):
+        milp.maximize_output(_medium_net(seed), square)
+        milp.verify_positivity(_medium_net(seed), square)
+    pruned = 0
+    for model, lo, hi, out in visited:
+        ref = _linprog_node(model, lo, hi)
+        if ref is None:
+            assert out is None
+            pruned += 1
+        else:
+            assert out is not None
+            assert out[0] == ref[0]
+            assert np.array_equal(out[1], ref[1])
+    assert len(visited) > 100 and pruned > 0  # 144 and 4 with scipy 1.17
 def test_hpolytope_region():
     # x0 + x1 <= 1 inside the unit box; maximize x0 + x1 via a linear net
     net = relu_net([([[1.0, 1.0]], [0.0], "identity")])

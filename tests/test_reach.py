@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from certikit import dyn, geom, nn, reach
-from certikit.errors import NotFixedPoint, SampleSizeOverflow, UnsupportedModel
+from certikit.errors import NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
 
 
 def test_interval_linear_exact():
@@ -65,6 +65,25 @@ def test_preactivation_bounds_contain_samples():
         pre = Z @ layer.W.T + layer.b
         assert np.all(pre >= lo - 1e-12) and np.all(pre <= hi + 1e-12)
         Z = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+
+
+def test_interval_overflow_raises_at_its_step():
+    # 1e300 stays finite after one step and overflows at the second
+    with pytest.raises(NonFiniteState) as exc:
+        reach.propagate_interval(dyn.LinearMap(np.array([[1e300]])), geom.Box([-1.0], [1.0]), 3)
+    assert exc.value.step == 2
+
+
+def test_preactivation_bounds_overflow_names_the_layer():
+    net = nn.Mlp(
+        (
+            nn.Layer(np.array([[1e300], [-1e300]]), np.zeros(2), "relu"),
+            nn.Layer(np.array([[1e300, 1e300]]), np.zeros(1), "identity"),
+        )
+    )
+    with pytest.raises(NonFiniteState) as exc:
+        reach.network_preactivation_bounds(net, geom.Box([-1.0], [1.0]))
+    assert exc.value.step == 2
 
 
 def test_hull_distance_values():
