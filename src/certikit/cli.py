@@ -374,6 +374,18 @@ def _demo_integrator_cbf(seed, started, n_steps=100_000):
     )
 
 
+# Pass mark of the bicycle-conformal demo's coverage on its 400 held-out
+# points, at a false-alarm rate below 1e-3 for a correct calibration. The
+# predicted and actual rollouts differ only by the added position noise, so
+# the heading-frame scores are exactly i.i.d. N(0, 0.05^2) per axis, and the
+# coverage of calibrate_2d at delta = 0.1 on 400 such scores has a known law
+# (free of the scale). In 2e5 simulated runs its 1e-3 quantile is 0.8275 and
+# 0.82 is missed in 3.9e-4 of them; the earlier mark 1 - delta - 0.02 = 0.88
+# was missed in 15.6%. A run calibrated at delta = 0.3 reaches 0.82 in 4.6e-4
+# of 5e4 simulated runs. tests/test_conformal.py repeats both simulations.
+BICYCLE_COVERAGE_PASS = 0.82
+
+
 def _demo_bicycle_conformal(seed, started):
     """Kinematic bicycle rollouts with noisy observations; CQR calibration of
     heading-frame position errors, then Monte-Carlo coverage on held-out data."""
@@ -413,13 +425,12 @@ def _demo_bicycle_conformal(seed, started):
             ]
         )
     )
-    passed = cov >= 1 - delta - 0.02
     checks = [
         {
             "name": "empirical_coverage",
-            "passed": bool(passed),
+            "passed": cov >= BICYCLE_COVERAGE_PASS,
             "coverage": cov,
-            "target": 1 - delta - 0.02,
+            "target": BICYCLE_COVERAGE_PASS,
         }
     ]
     return _report(

@@ -478,22 +478,20 @@ def central_difference(f, x, h):
 
 
 def linearize(model, x, u=None):
-    """Jacobians (A, B) of a discrete map at (x, u): exact for LinearMap and
-    NetworkMap (one forward pass, `nn.jacobian`); central differences with
-    step 1e-5 (1 + max|x|) otherwise."""
-    x = np.asarray(x, dtype=float).ravel()
+    """Jacobians (A, B) of a discrete map at (x, u), checked against the
+    model's dimensions: exact for LinearMap and NetworkMap (one forward pass,
+    `nn.jacobian`); central differences with step 1e-5 (1 + max|x|) otherwise."""
+    x, u = _point(model, x, u)
     if isinstance(model, LinearMap):
         B = model.B if model.B is not None else np.zeros((model.state_dim, 0))
         return model.A.copy(), B.copy()
     if isinstance(model, NetworkMap):
-        x, u = _point(model, x, u)
         J = nn.jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
         A, B = J[:, : x.size], J[:, x.size :]
     else:
         h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
         A = central_difference(lambda xi: step(model, xi, u), x, h)
         if model.input_dim > 0:
-            u = np.asarray(u, dtype=float).ravel()
             B = central_difference(lambda ui: step(model, x, ui), u, h)
         else:
             B = np.empty((x.size, 0))

@@ -40,8 +40,8 @@ class Box:
         hi = np.asarray(self.upper, dtype=float).ravel()
         if lo.size < 1 or lo.shape != hi.shape:
             raise DimensionMismatch("box bounds must be same-length nonempty vectors")
-        if np.any(lo > hi):
-            raise ValueError("require lower <= upper")
+        if not np.all(lo <= hi):
+            raise ValueError("require lower <= upper, with no NaN bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -5,7 +5,14 @@ The encoding is exact: a point (x, u) satisfies the model for some binary
 assignment iff u = net(x). Per-neuron big-M constants come from interval
 bound propagation, so the LP relaxations stay tight; neurons whose
 preactivation sign is fixed over the region are encoded affinely with no
-binary variable.
+binary variable. The variables are v = (x, z_1, ..., z_L, beta): the inputs,
+each layer's outputs, then one binary per unstable ReLU in (layer, neuron)
+order. The rows A v <= b are a polytope region's rows, then each neuron's in
+turn, with p the previous layer's outputs and [l, u] the neuron's IBP
+pre-activation bounds: an affine neuron (identity, or ReLU with l >= 0)
+z = w.p + c gives z - w.p <= c and -z + w.p <= -c; an unstable ReLU
+(l < 0 < u) gives -z + w.p <= -c, z - w.p - l beta <= c - l and
+z - u beta <= 0; a ReLU fixed at 0 (u <= 0) gives no row.
 
 Node LPs are solved by HiGHS, through one model per search that is passed
 to the solver once: each node changes only the column bounds and solves
@@ -26,7 +33,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
 from . import geom, nn, reach
-from .errors import NoConvergence, UnboundedRegion, UnsupportedActivation, UnsupportedModel
+from .errors import DimensionMismatch, NoConvergence, UnboundedRegion, UnsupportedActivation, UnsupportedModel
 
 __all__ = [
     "MilpModel",
@@ -82,7 +89,7 @@ def _region_box(region):
 
 
 def encode_network(net: nn.Mlp, region) -> MilpModel:
-    """Big-M MILP encoding of u = net(x) for x in the given bounded region."""
+    """Big-M MILP encoding of u = net(x) for x in a bounded region (layout: module docstring)."""
     for layer in net.layers:
         if layer.activation not in ("relu", "identity"):
             raise UnsupportedActivation(layer.activation)
@@ -93,75 +100,48 @@ def encode_network(net: nn.Mlp, region) -> MilpModel:
         raise UnboundedRegion("region must be bounded")
     pre_bounds = reach.network_preactivation_bounds(net, box)
 
+    # rows per neuron: 2 if affine, 3 if an unstable ReLU (one binary), 0 if a ReLU fixed at 0
+    n_rows = [
+        np.where((layer.activation == "identity") | (lb >= 0), 2, np.where(ub > 0, 3, 0)).tolist()
+        for layer, (lb, ub) in zip(net.layers, pre_bounds)
+    ]
+    binaries = [(li, j) for li, k in enumerate(n_rows) for j, kj in enumerate(k) if kj == 3]
     n0 = net.in_dim
-    z_base = []
-    nv = n0
-    for layer in net.layers:
-        z_base.append(nv)
-        nv += layer.W.shape[0]
-    binaries = []  # (layer, neuron)
-    for li, layer in enumerate(net.layers):
-        if layer.activation == "relu":
-            for j in range(layer.W.shape[0]):
-                if pre_bounds[li][0][j] < 0 < pre_bounds[li][1][j]:
-                    binaries.append((li, j))
-    beta_idx = {bn: nv + k for k, bn in enumerate(binaries)}
-    nv += len(binaries)
-
-    rows, rhs = [], []
-    lo = np.zeros(nv)
-    hi = np.ones(nv)  # binaries keep [0, 1]
+    r = region.A.shape[0] if isinstance(region, geom.HPolytope) else 0  # next row to fill
+    beta = n0 + sum(map(len, n_rows))  # first binary
+    nv = beta + len(binaries)
+    A = np.zeros((r + sum(map(sum, n_rows)), nv))
+    b = np.empty(A.shape[0])
+    lo, hi = np.zeros(nv), np.ones(nv)  # binaries keep [0, 1]
     lo[:n0], hi[:n0] = box.lower, box.upper
-
-    def add_row(cols, vals, bound):
-        r = np.zeros(nv)
-        r[list(cols)] = vals
-        rows.append(r)
-        rhs.append(bound)
-
-    if isinstance(region, geom.HPolytope):
-        for i in range(region.A.shape[0]):
-            add_row(range(n0), region.A[i], region.b[i])
-
-    for li, layer in enumerate(net.layers):
-        prev = list(range(n0)) if li == 0 else list(
-            range(z_base[li - 1], z_base[li - 1] + net.layers[li - 1].W.shape[0])
-        )
-        for j in range(layer.W.shape[0]):
-            zj = z_base[li] + j
-            w = layer.W[j]
-            bj = layer.b[j]
-            lb, ub = pre_bounds[li][0][j], pre_bounds[li][1][j]
-            if layer.activation == "identity":
-                lo[zj], hi[zj] = lb, ub
-            else:
-                lo[zj], hi[zj] = max(lb, 0.0), max(ub, 0.0)
-            if layer.activation == "identity" or lb >= 0:
-                # affine neuron: z = w.prev + b, as two rows
-                add_row([zj] + prev, [1.0] + list(-w), bj)
-                add_row([zj] + prev, [-1.0] + list(w), -bj)
-            elif ub > 0:
-                bi = beta_idx[(li, j)]
-                add_row([zj] + prev, [-1.0] + list(w), -bj)  # z >= a
-                add_row([zj] + prev + [bi], [1.0] + list(-w) + [-lb], bj - lb)
-                add_row([zj, bi], [1.0, -ub], 0.0)  # z <= ub * beta
-
+    if r:
+        A[:r, :n0], b[:r] = region.A, region.b
+    prev = slice(0, n0)
+    for layer, (lb, ub), rows in zip(net.layers, pre_bounds, n_rows):
+        z = slice(prev.stop, prev.stop + len(rows))
+        if layer.activation == "identity":
+            lo[z], hi[z] = lb, ub
+        else:  # as Python's max(lb, 0.0), which keeps a -0.0 bound that np.maximum makes +0.0
+            lo[z], hi[z] = np.where(lb < 0, 0.0, lb), np.where(ub < 0, 0.0, ub)
+        for j, zj in enumerate(range(z.start, z.stop)):
+            w, bj = layer.W[j], layer.b[j]
+            if rows[j] == 2:
+                A[r : r + 2, zj] = 1.0, -1.0
+                A[r, prev], A[r + 1, prev] = -w, w
+                b[r : r + 2] = bj, -bj
+            elif rows[j] == 3:
+                A[r : r + 3, zj] = -1.0, 1.0, 1.0
+                A[r, prev], A[r + 1, prev] = w, -w
+                A[r + 1 : r + 3, beta] = -lb[j], -ub[j]
+                b[r : r + 3] = -bj, bj - lb[j], 0.0
+                beta += 1
+            r += rows[j]
+        prev = z
     obj = np.zeros(nv)
-    out_idx = z_base[-1]
-    obj[out_idx] = 1.0
+    obj[prev.start] = 1.0
     return MilpModel(
-        A=np.array(rows).reshape(len(rows), nv),
-        b=np.array(rhs),
-        lo=lo,
-        hi=hi,
-        objective=obj,
-        n_vars=nv,
-        x_idx=np.arange(n0),
-        out_idx=out_idx,
-        binary_idx=np.array([beta_idx[bn] for bn in binaries], dtype=int),
-        binary_neuron=binaries,
-        net=net,
-        box=box,
+        A=A, b=b, lo=lo, hi=hi, objective=obj, n_vars=nv, x_idx=np.arange(n0), out_idx=prev.start,
+        binary_idx=np.arange(nv - len(binaries), nv), binary_neuron=binaries, net=net, box=box,
     )
 
 
@@ -366,17 +346,19 @@ def negate_mlp(net: nn.Mlp) -> nn.Mlp:
 
 
 def _cover_boxes(region: geom.Box, exclude: geom.Box):
-    """Axis slabs covering region minus the excluded box (up to 2n boxes)."""
+    """Axis slabs, clipped to the region, covering the region minus the
+    excluded box's interior (up to 2n boxes)."""
+    if exclude.dim != region.dim:
+        raise DimensionMismatch(f"exclude box has dimension {exclude.dim}, the region {region.dim}")
     boxes = []
-    n = region.dim
-    for i in range(n):
+    for i in range(region.dim):
         if exclude.lower[i] > region.lower[i]:
             hi = region.upper.copy()
-            hi[i] = exclude.lower[i]
+            hi[i] = min(exclude.lower[i], region.upper[i])
             boxes.append(geom.Box(region.lower, hi))
         if exclude.upper[i] < region.upper[i]:
             lo = region.lower.copy()
-            lo[i] = exclude.upper[i]
+            lo[i] = max(exclude.upper[i], region.lower[i])
             boxes.append(geom.Box(lo, region.upper))
     return boxes
 
@@ -389,31 +371,20 @@ def verify_positivity(f_net: nn.Mlp, region: geom.Box, exclude=None, tol=1e-6, n
     boxes = _cover_boxes(region, exclude) if exclude is not None else [region]
     if not boxes:
         raise ValueError("exclude covers the whole region")
-    min_bound = np.inf
-    best_val = np.inf
-    witness = None
-    nodes = 0
-    any_budget = False
-    for box in boxes:
-        out = maximize_output(neg, box, tol=tol, node_budget=node_budget)
-        nodes += out.nodes_explored
-        if out.status == "BoundOnly":
-            any_budget = True
-        if np.isfinite(out.bound):
-            min_bound = min(min_bound, -out.bound)
-        if out.counterexample is not None:
-            val = float(nn.forward(f_net, out.counterexample)[0])
-            if val < best_val:
-                best_val = val
-                witness = out.counterexample
+    outs = [maximize_output(neg, box, tol=tol, node_budget=node_budget) for box in boxes]
+    min_bound = min((-out.bound for out in outs if np.isfinite(out.bound)), default=np.inf)
+    found = [(float(nn.forward(f_net, out.counterexample)[0]), out.counterexample) for out in outs
+             if out.counterexample is not None]
+    best_val, witness = min(found, key=lambda vx: vx[0], default=(np.inf, None))
     # only a witness with f < 0 falsifies: a bound a few ulps below 0 with
     # f(witness) >= 0 proves neither sign
     if best_val < 0:
         status = "Falsified"
-    elif min_bound >= 0 and not any_budget:
+    elif min_bound >= 0 and all(out.status != "BoundOnly" for out in outs):
         status = "Certified"
     else:
         status = "BoundOnly"
+    nodes = sum(out.nodes_explored for out in outs)
     return VerifyOutcome(status, float(min_bound), witness if status != "Certified" else None, nodes, float(best_val - min_bound))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dyn, geom, nn
-from .errors import NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
+from .errors import DimensionMismatch, NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
 
 __all__ = [
     "ReachConfig",
@@ -124,6 +124,8 @@ def propagate_interval(model, x0: geom.Box, steps: int) -> ReachResult:
         )
     if model.input_dim > 0:
         raise UnsupportedModel("interval propagation needs an autonomous map")
+    if x0.dim != model.state_dim:
+        raise DimensionMismatch(f"box dim {x0.dim}, model expects {model.state_dim}")
     regions = [x0]
     lo, hi = x0.lower.copy(), x0.upper.copy()
     for k in range(1, steps + 1):

@@ -5,10 +5,13 @@ active sets with plain numpy KKT solves, one network-maximization oracle
 enumerates ReLU activation patterns with scipy's LP solver, and the other
 evaluates a one-hidden-layer net at the vertices of its kink arrangement. The
 network Jacobian oracle is plain Python in 50-digit decimal arithmetic.
+The exact QP oracle enumerates active sets in plain-Python rational
+arithmetic on the stored floats, for at most three variables.
 """
 
 import decimal
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -235,3 +238,72 @@ def decimal_jacobian(layers, x, digits=50):
                 raise ValueError(f"unknown activation {act}")
             J = [[slope[i] * WJ[i][j] for j in range(len(WJ[0]))] for i in range(len(WJ))]
         return [[float(v) for v in row] for row in J]
+
+
+def _exact_solve(M, rhs):
+    """The solution of the square system M z = rhs by Gauss-Jordan elimination
+    in Fractions, or None when M is singular."""
+    k = len(M)
+    T = [list(row) + [r] for row, r in zip(M, rhs)]
+    for c in range(k):
+        p = next((i for i in range(c, k) if T[i][c] != 0), None)
+        if p is None:
+            return None
+        T[c], T[p] = T[p], T[c]
+        for i in range(k):
+            if i != c and T[i][c] != 0:
+                f = T[i][c] / T[c][c]
+                T[i] = [a - f * b for a, b in zip(T[i], T[c])]
+    return [T[i][k] / T[i][i] for i in range(k)]
+
+
+def exact_qp_oracle(P, q, A, l, u):
+    """Exact global minimum of min 1/2 x'Px + q'x s.t. l <= Ax <= u, P PD and
+    n <= 3, in Fractions on the stored floats (every float converts exactly).
+
+    Enumerates active sets by size: sets S of rows, each pinned at a finite
+    bound, whose rows are linearly independent. With y the multipliers of
+    Px + q + A_S'y = 0, A_S x = b_S, a candidate is kept only if each y_s has
+    its bound's sign (>= 0 at an upper, <= 0 at a lower bound) and x is
+    feasible, both checked exactly: it is then a KKT point of the convex QP,
+    so the optimum. The optimum always has such a set (its multipliers can be
+    chosen on independent rows), so an infeasible problem is exactly one
+    with no candidate. Returns (x, objective) as Fractions, or (None, None).
+    """
+    F = Fraction
+    inf = float("inf")
+    P = [[F(v) for v in row] for row in np.atleast_2d(np.asarray(P, dtype=float)).tolist()]
+    q = [F(v) for v in np.asarray(q, dtype=float).ravel().tolist()]
+    A = [[F(v) for v in row] for row in np.atleast_2d(np.asarray(A, dtype=float)).tolist()]
+    l = np.asarray(l, dtype=float).ravel().tolist()
+    u = np.asarray(u, dtype=float).ravel().tolist()
+    n, m = len(q), len(A)
+    if n > 3:
+        raise ValueError("exact_qp_oracle enumerates active sets for n <= 3 only")
+    # x = -P^-1 (q + A_S'y), so A x = -(g + G[:, S] y) with g = A P^-1 q and G = A P^-1 A'
+    Pinv = list(zip(*(_exact_solve(P, [F(int(i == j)) for i in range(n)]) for j in range(n))))
+    PinvA = [[sum(Pinv[i][j] * a[j] for j in range(n)) for i in range(n)] for a in A]  # P^-1 a_s per row s
+    Pinvq = [sum(Pinv[i][j] * q[j] for j in range(n)) for i in range(n)]
+    g = [sum(a[i] * Pinvq[i] for i in range(n)) for a in A]
+    G = [[sum(a[i] * c[i] for i in range(n)) for c in PinvA] for a in A]
+    # each row's ways to be active: (bound, the sign its multiplier must have)
+    pins = [
+        [(F(li), 0)] if li == ui else [(F(b), s) for b, s in ((li, -1), (ui, 1)) if abs(b) != inf]
+        for li, ui in zip(l, u)
+    ]
+    lo = [None if v == -inf else F(v) for v in l]
+    hi = [None if v == inf else F(v) for v in u]
+    for k in range(min(n, m) + 1):
+        for S in itertools.combinations(range(m), k):
+            G_S = [[G[r][c] for c in S] for r in S]
+            for pinned in itertools.product(*(pins[s] for s in S)):
+                y = _exact_solve(G_S, [-(b + g[s]) for (b, _), s in zip(pinned, S)])
+                if y is None:
+                    break  # the rows of S are linearly dependent
+                if any(yi * sign < 0 for yi, (_, sign) in zip(y, pinned)):
+                    continue
+                Ax = [-(g[r] + sum(G[r][s] * yi for s, yi in zip(S, y))) for r in range(m)]
+                if all((a is None or v >= a) and (b is None or v <= b) for v, a, b in zip(Ax, lo, hi)):
+                    x = [-(Pinvq[i] + sum(PinvA[s][i] * yi for s, yi in zip(S, y))) for i in range(n)]
+                    return x, sum(x[i] * (F(1, 2) * sum(P[i][j] * x[j] for j in range(n)) + q[i]) for i in range(n))
+    return None, None

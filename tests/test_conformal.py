@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from certikit import conformal
+from certikit import cli, conformal
 from certikit.errors import InsufficientCalibration
 
 
@@ -89,3 +89,25 @@ def test_load_score_csv(tmp_path):
     lon, lat = conformal.load_score_csv(p)
     np.testing.assert_allclose(lon, [1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(lat, [0.0, 0.0], atol=1e-12)
+
+
+def _bicycle_demo_coverage(rng, delta):
+    """Coverage of one bicycle-conformal run on its score law: 400 calibration
+    and 400 held-out scores, i.i.d. N(0, 1) per axis (the demo's N(0, 0.05^2)
+    scaled, which leaves coverage unchanged)."""
+    cal, held_out = rng.normal(size=(2, 2, 400))
+    (a, b), (c, d) = (conformal.region(cal_k) for cal_k in conformal.calibrate_2d(cal[0], cal[1], delta))
+    return np.mean((a <= held_out[0]) & (held_out[0] <= b) & (c <= held_out[1]) & (held_out[1] <= d))
+
+
+def test_bicycle_demo_pass_mark_false_alarm_rate():
+    rng = np.random.default_rng(20)
+    correct = np.array([_bicycle_demo_coverage(rng, 0.1) for _ in range(20_000)])
+    # a correct calibration misses the mark in at most 1e-3 of runs
+    assert np.mean(correct < cli.BICYCLE_COVERAGE_PASS) <= 1e-3
+    assert cli.BICYCLE_COVERAGE_PASS <= np.quantile(correct, 1e-3)
+    # the old mark 1 - delta - 0.02 failed about one correct run in six
+    assert np.mean(correct < 0.88) > 0.1
+    # a calibration at delta = 0.3 still fails it
+    miscalibrated = np.array([_bicycle_demo_coverage(rng, 0.3) for _ in range(2000)])
+    assert np.mean(miscalibrated >= cli.BICYCLE_COVERAGE_PASS) <= 0.01

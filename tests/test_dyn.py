@@ -120,6 +120,14 @@ def test_linearize_matches_linear_map_exactly():
     np.testing.assert_array_equal(Bj, B)
 
 
+def test_linearize_linear_map_rejects_wrong_dims():
+    m = dyn.LinearMap(np.eye(2), np.ones((2, 1)))
+    with pytest.raises(DimensionMismatch):
+        dyn.linearize(m, [1.0, 2.0, 3.0], [0.1])
+    with pytest.raises(DimensionMismatch):
+        dyn.linearize(m, [1.0, 2.0], [0.1, 0.2])
+
+
 def test_linearize_polynomial_fd_accuracy():
     Q = np.zeros((1, 1, 1))
     Q[0, 0, 0] = 1.0

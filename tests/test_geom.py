@@ -20,6 +20,17 @@ def test_box_validation():
         geom.Box([1.0], [0.0])
 
 
+@pytest.mark.parametrize("lower, upper", [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], [1.0, np.nan])])
+def test_box_rejects_nan_bounds(lower, upper):
+    with pytest.raises(ValueError):
+        geom.Box(lower, upper)
+
+
+def test_box_infinite_bounds_stay_legal():
+    box = geom.Box([-np.inf, 0.0], [np.inf, np.inf])
+    assert box.dim == 2
+
+
 def test_hull_membership():
     ps = geom.PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert geom.contains(ps, [0.25, 0.25])

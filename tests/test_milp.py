@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from certikit import geom, milp, nn
-from certikit.errors import UnboundedRegion, UnsupportedActivation, UnsupportedModel
+from certikit.errors import DimensionMismatch, UnboundedRegion, UnsupportedActivation, UnsupportedModel
 from helpers_oracles import arrangement_vertex_max, pattern_enumeration_max
 
 
@@ -32,6 +32,31 @@ def test_identity_from_two_relus():
     out = milp.maximize_output(net, geom.Box([-1.0], [2.0]))
     assert out.status == "Certified"
     assert out.bound == pytest.approx(2.0, abs=1e-6)
+
+
+def test_encoding_rows_in_order():
+    # x in [-1, 1]; hidden pre-activations x + 2 in [1, 3] (affine),
+    # 2x + 0.5 in [-1.5, 2.5] (unstable) and x - 3 in [-4, -2] (fixed at 0);
+    # output z0 - z1 + 2 z2 + 0.25 in [-1.25, 3.25]. v = (x, z0, z1, z2, u, beta)
+    net = relu_net(
+        [([[1.0], [2.0], [1.0]], [2.0, 0.5, -3.0], "relu"), ([[1.0, -1.0, 2.0]], [0.25], "identity")]
+    )
+    model = milp.encode_network(net, geom.Box([-1.0], [1.0]))
+    A = [
+        [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # z0 - x <= 2
+        [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],  # -z0 + x <= -2
+        [2.0, 0.0, -1.0, 0.0, 0.0, 0.0],  # -z1 + 2x <= -0.5
+        [-2.0, 0.0, 1.0, 0.0, 0.0, 1.5],  # z1 - 2x + 1.5 beta <= 0.5 + 1.5
+        [0.0, 0.0, 1.0, 0.0, 0.0, -2.5],  # z1 - 2.5 beta <= 0
+        [0.0, -1.0, 1.0, -2.0, 1.0, 0.0],  # u - (z0 - z1 + 2 z2) <= 0.25
+        [0.0, 1.0, -1.0, 2.0, -1.0, 0.0],  # -u + (z0 - z1 + 2 z2) <= -0.25
+    ]
+    np.testing.assert_array_equal(model.A, A)
+    np.testing.assert_array_equal(model.b, [2.0, -2.0, -0.5, 2.0, 0.0, 0.25, -0.25])
+    np.testing.assert_array_equal(model.lo, [-1.0, 1.0, 0.0, 0.0, -1.25, 0.0])
+    np.testing.assert_array_equal(model.hi, [1.0, 3.0, 2.5, 0.0, 3.25, 1.0])
+    np.testing.assert_array_equal(model.binary_idx, [5])
+    assert model.binary_neuron == [(0, 1)] and model.out_idx == 4
 
 
 def test_encoding_exact_on_forward_assignments():
@@ -361,6 +386,45 @@ def test_verify_positivity_with_exclude():
     )
     assert out.status == "Certified"
     assert out.bound == pytest.approx(0.1, abs=1e-5)
+
+
+def test_exclude_outside_the_region_changes_nothing():
+    # f(x) = 1 - x on [0, 0.9] has minimum 0.1; x = 2 lies outside the region
+    net = relu_net([([[-1.0]], [1.0], "identity")])
+    region = geom.Box([0.0], [0.9])
+    for exclude in (None, geom.Box([2.0], [3.0]), geom.Box([-3.0], [-2.0])):
+        out = milp.verify_positivity(net, region, exclude=exclude)
+        assert out.status == "Certified" and out.counterexample is None
+        assert out.bound == pytest.approx(0.1, abs=1e-9)
+    with pytest.raises(DimensionMismatch):
+        milp.verify_positivity(net, region, exclude=geom.Box([0.0, 0.0], [0.1, 0.1]))
+
+
+def test_exclude_witnesses_lie_in_the_region_outside_the_exclude_box():
+    rng = np.random.default_rng(3)
+    falsified = 0
+    for _ in range(12):
+        net = nn.Mlp(
+            (
+                nn.Layer(rng.normal(size=(6, 2)), rng.normal(size=6), "relu"),
+                nn.Layer(rng.normal(size=(1, 6)), rng.normal(size=1) - 0.5, "identity"),
+            )
+        )
+        region = geom.Box([-1.0, -1.0], [1.0, 1.0])
+        # centres up to 2.5 from the origin: some boxes overlap the region,
+        # some lie beside it on one axis or both
+        c, r = rng.uniform(-2.5, 2.5, 2), rng.uniform(0.1, 1.0, 2)
+        exclude = geom.Box(c - r, c + r)
+        out = milp.verify_positivity(net, region, exclude=exclude)
+        X = geom.sample_region(region, 2000, rng)
+        X = X[~np.all((X > exclude.lower) & (X < exclude.upper), axis=1)]
+        assert out.bound <= nn.forward(net, X)[:, 0].min() + 1e-9
+        if out.counterexample is not None:
+            x = out.counterexample
+            assert np.all((x >= region.lower) & (x <= region.upper))
+            assert not np.all((x > exclude.lower) & (x < exclude.upper))
+            falsified += out.status == "Falsified"
+    assert falsified >= 3
 
 
 def test_node_budget_gives_bound_only():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certikit import qp
-from helpers_oracles import active_set_oracle, lp_feasible, random_feasible_qp
+from helpers_oracles import active_set_oracle, exact_qp_oracle, lp_feasible, random_feasible_qp
 
 
 def test_known_box_qp():
@@ -135,6 +135,42 @@ def test_box_halfspace_battery_answers_are_certified():
         _, obj = active_set_oracle(P, q, A, l, u)
         assert abs(sol.objective - obj) <= 1e-5 * (1 + abs(obj)) + 1e-10 * (y @ y)
     assert statuses == {"Optimal", "PrimalInfeasible"}
+
+
+def test_box_halfspace_answers_match_the_exact_oracle():
+    # 300 battery problems with n <= 3 against their optimum in rational
+    # arithmetic on the same floats
+    rng = np.random.default_rng(0)
+    seen = []
+    trial = 0
+    while len(seen) < 300:
+        kind = trial % 3
+        trial += 1
+        P, q, A, l, u = _box_halfspace_qp(rng, kind)
+        if q.size > 3:
+            continue
+        sol = qp.solve(qp.QProblem(P, q, A, l, u))
+        x, obj = exact_qp_oracle(P, q, A, l, u)
+        seen.append((sol.status, x is None))
+        if sol.status == "PrimalInfeasible":
+            assert x is None  # a Farkas certificate holds exactly
+            continue
+        assert sol.status == "Optimal"
+        z, y = sol.z, sol.dual
+        if x is None:
+            # kind 1's row through a box corner has a rounded bound, which can
+            # cut the feasible corner off exactly: z may then miss it by rounding
+            assert kind == 1
+            slack = 1e-12 * (1 + np.abs(A).sum(1) * max(np.max(np.abs(z)), np.max(np.abs(y))))
+            assert np.all(A @ z >= l - slack) and np.all(A @ z <= u + slack)
+            continue
+        # the KKT solve's rounding reaches the objective through the multipliers
+        # (kind 1's nearly parallel rows reach |y| = 1e3)
+        tol = 1e-12 * (1 + abs(float(obj)) + np.abs(y).sum())
+        assert abs(sol.objective - float(obj)) <= tol
+        assert np.max(np.abs(z - np.array(x, dtype=float))) <= tol
+    assert {s for s, _ in seen} == {"Optimal", "PrimalInfeasible"}
+    assert seen.count(("Optimal", False)) >= 250
 
 
 def test_ill_conditioned_p_refines_the_kkt_solve():

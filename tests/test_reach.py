@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from certikit import dyn, geom, nn, reach
-from certikit.errors import NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
+from certikit.errors import DimensionMismatch, NonFiniteState, NotFixedPoint, SampleSizeOverflow, UnsupportedModel
 
 
 def test_interval_linear_exact():
@@ -47,6 +47,13 @@ def test_interval_rejects_controlled_and_unsupported():
         reach.propagate_interval(
             dyn.PolynomialMap(np.eye(1), Q), geom.Box([0.0], [1.0]), 1
         )
+
+
+def test_interval_rejects_a_box_of_the_wrong_dimension():
+    net = nn.Mlp((nn.Layer(np.eye(2), np.zeros(2), "relu"),))
+    for model in (dyn.LinearMap(np.eye(2)), dyn.NetworkMap(net)):
+        with pytest.raises(DimensionMismatch):
+            reach.propagate_interval(model, geom.Box([0.0], [1.0]), 1)
 
 
 def test_preactivation_bounds_contain_samples():
