@@ -14,10 +14,11 @@ z = w.p + c gives z - w.p <= c and -z + w.p <= -c; an unstable ReLU
 (l < 0 < u) gives -z + w.p <= -c, z - w.p - l beta <= c - l and
 z - u beta <= 0; a ReLU fixed at 0 (u <= 0) gives no row.
 
-Node LPs are solved by HiGHS, through one model per search that is passed
-to the solver once: each node changes only the column bounds and solves
-cold, along the same path as scipy's `linprog(method="highs")`. No node
-bound trusts the solver's optimum: each bound is recomputed in floating
+Node LPs are solved by HiGHS's dual simplex, through one model per search
+that is passed to the solver once, with presolve off: the root solves cold,
+and each child changes only the column bounds and starts from its parent's
+final basis, usually a few pivots from its own optimum. No node bound
+trusts the solver's optimum: each bound is recomputed in floating
 point from the row multipliers by the safe dual rule of Neumaier &
 Shcherbina (Math. Prog. 2004), which holds for any nonnegative multipliers,
 so an inexact solve can only loosen it. An infeasible node is pruned only by
@@ -209,13 +210,16 @@ class _NodeLp:
     """The LP relaxation max c.v s.t. A v <= b, lo <= v <= hi of one model as
     a single HiGHS model; nodes change only its column bounds."""
 
-    # the options linprog(method="highs") sets; simplex_strategy 1 is dual simplex
+    # dual simplex (simplex_strategy 1) without presolve, so that a node
+    # starts from the basis it is given; no matrix entry is rejected as too
+    # large, since every bound is recomputed by dual_bound
     OPTIONS = {
-        "presolve": "on",
+        "presolve": "off",
         "highs_debug_level": 0,
         "log_to_console": False,
         "output_flag": False,
         "simplex_strategy": 1,
+        "large_matrix_value": np.inf,
     }
 
     def __init__(self, model: MilpModel):
@@ -237,7 +241,8 @@ class _NodeLp:
         lp.row_upper_ = model.b
         self._highs = highs._Highs()
         for key, value in self.OPTIONS.items():
-            self._highs.setOptionValue(key, value)
+            if self._highs.setOptionValue(key, value) != highs.HighsStatus.kOk:
+                raise NoConvergence(f"node LP: HiGHS rejected option {key}={value!r}")
         if self._highs.passModel(lp) == highs.HighsStatus.kError:
             raise NoConvergence(
                 f"node LP: HiGHS rejected the model (largest |coefficient| {np.abs(model.A).max(initial=0.0):.3g})"
@@ -249,11 +254,15 @@ class _NodeLp:
         _, has_ray, ray = self._highs.getDualRay()
         return np.asarray(ray) if has_ray else None
 
-    def solve(self, lo, hi):
-        """(checked upper bound, LP point) of the node with variable box
-        [lo, hi], or None when the node is proven infeasible."""
+    def solve(self, lo, hi, basis=None):
+        """(checked upper bound, LP point, final basis) of the node with
+        variable box [lo, hi], or None when the node is proven infeasible.
+        The solve starts from basis, a getBasis() of an earlier node, or
+        from the last solve's basis when basis is None (cold on a fresh
+        model)."""
         h = self._highs
-        h.clearSolver()  # a cold solve, as a fresh linprog call makes
+        if basis is not None and h.setBasis(basis) != highs.HighsStatus.kOk:
+            raise NoConvergence("node LP: HiGHS rejected the starting basis")
         h.changeColsBounds(self._cols.size, self._cols, lo, hi)
         h.run()
         status = h.getModelStatus()
@@ -262,7 +271,7 @@ class _NodeLp:
         if status == highs.HighsModelStatus.kOptimal:
             sol = h.getSolution()
             y = np.maximum(-np.asarray(sol.row_dual), 0.0)
-            return dual_bound(c, A, b, lo, hi, y), np.asarray(sol.col_value)
+            return dual_bound(c, A, b, lo, hi, y), np.asarray(sol.col_value), h.getBasis()
         if status != highs.HighsModelStatus.kInfeasible:
             raise NoConvergence(f"node LP: {h.modelStatusToString(status)}")
         zero = np.zeros_like(c)
@@ -272,7 +281,7 @@ class _NodeLp:
         y, v = _elastic_lp(model, lo, hi)
         if dual_bound(zero, A, b, lo, hi, y) < 0:
             return None
-        return dual_bound(c, A, b, lo, hi, y), v
+        return dual_bound(c, A, b, lo, hi, y), v, h.getBasis()
 
 
 def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> VerifyOutcome:
@@ -308,9 +317,9 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
     if root is None:
         return VerifyOutcome("Certified", -np.inf, None, nodes, 0.0)
     update_incumbent(root[1][model.x_idx])
-    heapq.heappush(heap, (-root[0], counter, model.lo, model.hi, root[1]))
+    heapq.heappush(heap, (-root[0], counter, model.lo, model.hi, *root[1:]))
     while heap and -heap[0][0] > incumbent + tol and nodes < node_budget:
-        neg_bound, _, lo, hi, v = heapq.heappop(heap)
+        neg_bound, _, lo, hi, v, basis = heapq.heappop(heap)
         free = [k for k, i in enumerate(model.binary_idx) if lo[i] < hi[i]]
         if not free:
             dropped = max(dropped, -neg_bound)
@@ -319,14 +328,14 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
         for val in (0.0, 1.0):
             clo, chi = lo.copy(), hi.copy()
             clo[model.binary_idx[kb]] = chi[model.binary_idx[kb]] = val
-            child = lp.solve(clo, chi)
+            child = lp.solve(clo, chi, basis)
             nodes += 1
             if child is None:
                 continue
             update_incumbent(child[1][model.x_idx])
             if child[0] > incumbent + tol:
                 counter += 1
-                heapq.heappush(heap, (-child[0], counter, clo, chi, child[1]))
+                heapq.heappush(heap, (-child[0], counter, clo, chi, *child[1:]))
             else:
                 dropped = max(dropped, child[0])
 

@@ -412,6 +412,25 @@ def test_verify_nn_overflowing_weights_exit_two(tmp_path, capsys):
     assert err == "certikit: NonFiniteState: interval bounds overflow at layer 2\n"
 
 
+def test_verify_nn_weights_past_highs_matrix_limit_report(tmp_path):
+    # f(x) = relu(wx) + relu(-wx) with w = 1.1e15, past HiGHS's default
+    # large_matrix_value of 1e15: the job gets a report, not exit 2, and its
+    # bound holds every sample; f's minimum is 0, so no sign is proven
+    w = 1.1e15
+    net = {
+        "kind": "mlp",
+        "layers": [
+            {"w": [[w], [-w]], "b": [0.0, 0.0], "act": "relu"},
+            {"w": [[1.0, 1.0]], "b": [0.0], "act": "identity"},
+        ],
+    }
+    code, rep = run_main(tmp_path, {**NN_JOB, "network": net})
+    assert code == 3 and rep["status"] == "inconclusive"
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10_000, 1))
+    f = nn.forward(nn.network_from_dict(net), xs)
+    assert rep["checks"][0]["bound"] <= f.min()
+
+
 def test_atomic_write_no_partial_output(tmp_path):
     target = tmp_path / "out" / "r.json"
     os.makedirs(target.parent)
