@@ -14,11 +14,14 @@ z = w.p + c gives z - w.p <= c and -z + w.p <= -c; an unstable ReLU
 (l < 0 < u) gives -z + w.p <= -c, z - w.p - l beta <= c - l and
 z - u beta <= 0; a ReLU fixed at 0 (u <= 0) gives no row.
 
-Node LPs are solved by HiGHS's dual simplex, through one model per search
-that is passed to the solver once, with presolve off: the root solves cold,
-and each child changes only the column bounds and starts from its parent's
-final basis, usually a few pivots from its own optimum. No node bound
-trusts the solver's optimum: each bound is recomputed in floating
+Node LPs are solved by HiGHS's dual simplex with presolve off, with one
+HiGHS object per thread, one model per search: a search borrows a configured
+object from its thread's free list (a new one only when the list is empty)
+and gives it back when it ends, even by an exception. Passing the search's
+model to the object clears the last search's basis and solution, so the root
+solves cold; each child changes only the column bounds and starts from its
+parent's final basis, usually a few pivots from its own optimum. No node
+bound trusts the solver's optimum: each bound is recomputed in floating
 point from the row multipliers by the safe dual rule of Neumaier &
 Shcherbina (Math. Prog. 2004), which holds for any nonnegative multipliers,
 so an inexact solve can only loosen it. An infeasible node is pruned only by
@@ -27,6 +30,7 @@ an elastic LP, must give a dual bound below 0 with a zero objective.
 """
 
 import heapq
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,21 +210,43 @@ def _elastic_lp(model: MilpModel, lo, hi):
     return np.maximum(-res.ineqlin.marginals, 0.0), res.x[:n]
 
 
+# dual simplex (simplex_strategy 1) without presolve, so that a node starts
+# from the basis it is given; no matrix entry is rejected as too large, since
+# every bound is recomputed by dual_bound
+_HIGHS_OPTIONS = {
+    "presolve": "off",
+    "highs_debug_level": 0,
+    "log_to_console": False,
+    "output_flag": False,
+    "simplex_strategy": 1,
+    "large_matrix_value": np.inf,
+}
+
+
+class _IdleHighs(threading.local):
+    """Per thread, .highs lists the configured HiGHS objects no search holds."""
+
+    def __init__(self):
+        self.highs = []
+
+
+_idle = _IdleHighs()
+
+
+def _borrow_highs():
+    if _idle.highs:
+        return _idle.highs.pop()
+    h = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        if h.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise NoConvergence(f"node LP: HiGHS rejected option {key}={value!r}")
+    return h
+
+
 class _NodeLp:
     """The LP relaxation max c.v s.t. A v <= b, lo <= v <= hi of one model as
-    a single HiGHS model; nodes change only its column bounds."""
-
-    # dual simplex (simplex_strategy 1) without presolve, so that a node
-    # starts from the basis it is given; no matrix entry is rejected as too
-    # large, since every bound is recomputed by dual_bound
-    OPTIONS = {
-        "presolve": "off",
-        "highs_debug_level": 0,
-        "log_to_console": False,
-        "output_flag": False,
-        "simplex_strategy": 1,
-        "large_matrix_value": np.inf,
-    }
+    a single HiGHS model on a borrowed HiGHS object; nodes change only its
+    column bounds. release() gives the object back to the thread's free list."""
 
     def __init__(self, model: MilpModel):
         self.model = model
@@ -239,15 +265,18 @@ class _NodeLp:
         lp.col_upper_ = model.hi
         lp.row_lower_ = np.full(m, -np.inf)
         lp.row_upper_ = model.b
-        self._highs = highs._Highs()
-        for key, value in self.OPTIONS.items():
-            if self._highs.setOptionValue(key, value) != highs.HighsStatus.kOk:
-                raise NoConvergence(f"node LP: HiGHS rejected option {key}={value!r}")
-        if self._highs.passModel(lp) == highs.HighsStatus.kError:
+        self._highs = _borrow_highs()
+        if self._highs.passModel(lp) == highs.HighsStatus.kError:  # the object is dropped
             raise NoConvergence(
                 f"node LP: HiGHS rejected the model (largest |coefficient| {np.abs(model.A).max(initial=0.0):.3g})"
             )
         self._cols = np.arange(n, dtype=np.int32)
+
+    def release(self):
+        """Give the HiGHS object back to this thread's free list; the node LP
+        cannot solve after this."""
+        _idle.highs.append(self._highs)
+        self._highs = None
 
     def farkas_ray(self):
         """HiGHS's dual ray of the last (infeasible) solve, or None."""
@@ -298,7 +327,13 @@ def maximize_output(net: nn.Mlp, region, tol=1e-6, node_budget=10_000) -> Verify
         raise ValueError("maximize_output needs a scalar-output network")
     model = encode_network(net, region)
     lp = _NodeLp(model)
+    try:
+        return _branch_and_bound(net, model, lp, tol, node_budget)
+    finally:
+        lp.release()
 
+
+def _branch_and_bound(net, model, lp, tol, node_budget) -> VerifyOutcome:
     incumbent = -np.inf
     incumbent_x = None
 
@@ -432,14 +467,14 @@ def export_lp_text(model: MilpModel) -> str:
     """Plain LP-file text of the encoding (fixed constraint order)."""
     names = [f"v{i}" for i in range(model.n_vars)]
     lines = ["Maximize", " obj: " + " + ".join(
-        f"{model.objective[i]:g} {names[i]}" for i in np.nonzero(model.objective)[0]
+        f"{model.objective[i]:.17g} {names[i]}" for i in np.nonzero(model.objective)[0]
     ), "Subject To"]
     for r in range(model.A.shape[0]):
         cols = np.nonzero(model.A[r])[0]
-        expr = " + ".join(f"{model.A[r, c]:g} {names[c]}" for c in cols)
-        lines.append(f" c{r}: {expr} <= {model.b[r]:g}")
+        expr = " + ".join(f"{model.A[r, c]:.17g} {names[c]}" for c in cols)
+        lines.append(f" c{r}: {expr} <= {model.b[r]:.17g}")
     lines.append("Bounds")
-    lines += [f" {model.lo[i]:g} <= {names[i]} <= {model.hi[i]:g}" for i in range(model.n_vars)]
+    lines += [f" {model.lo[i]:.17g} <= {names[i]} <= {model.hi[i]:.17g}" for i in range(model.n_vars)]
     lines.append("Binary")
     lines.append(" " + " ".join(names[i] for i in model.binary_idx))
     lines.append("End")

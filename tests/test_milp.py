@@ -1,11 +1,16 @@
 """Big-M encoding exactness and branch-and-bound verification of ReLU nets."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from certikit import geom, milp, nn
-from certikit.errors import DimensionMismatch, UnboundedRegion, UnsupportedActivation, UnsupportedModel
+from certikit.errors import DimensionMismatch, NoConvergence, UnboundedRegion, UnsupportedActivation, UnsupportedModel
 from helpers_oracles import arrangement_vertex_max, pattern_enumeration_max
 
 
@@ -250,6 +255,26 @@ def _linprog_node(model, lo, hi):
     return None
 
 
+SQUARE = geom.Box([-1.0, -1.0], [1.0, 1.0])
+
+
+def _criterion_1_searches(count=50):
+    """(net, box) pairs drawn as acceptance criterion 1 draws them."""
+    rng = np.random.default_rng(11)
+    searches = []
+    for _ in range(count):
+        n_in, h = int(rng.integers(1, 3)), int(rng.integers(2, 9))
+        net = nn.Mlp(
+            (
+                nn.Layer(rng.normal(size=(h, n_in)), rng.normal(size=h), "relu"),
+                nn.Layer(rng.normal(size=(1, h)), rng.normal(size=1), "identity"),
+            )
+        )
+        lo = rng.uniform(-2.0, 0.0, n_in)
+        searches.append((net, geom.Box(lo, lo + rng.uniform(0.5, 2.0, n_in))))
+    return searches
+
+
 def _medium_net(seed):
     r = np.random.default_rng(seed)
     return nn.Mlp(
@@ -276,23 +301,12 @@ def test_warm_node_lps_bracketed_by_linprog(monkeypatch):
         return out
 
     monkeypatch.setattr(milp._NodeLp, "solve", recorded)
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n_in, h = int(rng.integers(1, 3)), int(rng.integers(2, 9))
-        net = nn.Mlp(
-            (
-                nn.Layer(rng.normal(size=(h, n_in)), rng.normal(size=h), "relu"),
-                nn.Layer(rng.normal(size=(1, h)), rng.normal(size=1), "identity"),
-            )
-        )
-        lo = rng.uniform(-2.0, 0.0, n_in)
-        box = geom.Box(lo, lo + rng.uniform(0.5, 2.0, n_in))
+    for net, box in _criterion_1_searches(30):
         milp.maximize_output(net, box)
         milp.verify_positivity(net, box)
-    square = geom.Box([-1.0, -1.0], [1.0, 1.0])
     for seed in (1002, 1005):
-        milp.maximize_output(_medium_net(seed), square)
-        milp.verify_positivity(_medium_net(seed), square)
+        milp.maximize_output(_medium_net(seed), SQUARE)
+        milp.verify_positivity(_medium_net(seed), SQUARE)
     pruned = 0
     for model, lo, hi, out in visited:
         ref = _linprog_node(model, lo, hi)
@@ -305,6 +319,94 @@ def test_warm_node_lps_bracketed_by_linprog(monkeypatch):
             assert out[0] >= optimum - 1e-9 * (1 + abs(optimum))
             assert out[0] <= checked + 1e-9 * (1 + abs(checked))
     assert len(visited) > 100 and pruned > 0  # 144 and 4 with scipy 1.17
+
+
+def _outcome_bits(out):
+    """A VerifyOutcome with its floats as bytes, so == compares bit for bit."""
+    x = None if out.counterexample is None else out.counterexample.tobytes()
+    return out.status, np.float64(out.bound).tobytes(), np.float64(out.gap).tobytes(), out.nodes_explored, x
+
+
+def _fresh_outcome(net, box):
+    """The search's outcome on a newly built HiGHS object."""
+    milp._idle.highs.clear()
+    out = _outcome_bits(milp.maximize_output(net, box))
+    milp._idle.highs.clear()
+    return out
+
+
+def test_reused_highs_object_changes_no_outcome():
+    # 102 searches in one thread, forward and then reversed, all on one
+    # HiGHS object, each ending bit for bit as it does on a fresh object
+    searches = _criterion_1_searches() + [(_medium_net(1002), SQUARE)]
+    fresh = [_fresh_outcome(net, box) for net, box in searches]
+    order = list(range(len(searches)))
+    for i in order + order[::-1]:
+        assert _outcome_bits(milp.maximize_output(*searches[i])) == fresh[i]
+    assert len(milp._idle.highs) == 1
+
+
+def test_live_node_lps_hold_different_highs_objects():
+    _, model, _, _ = _contradicting_node()
+    milp._idle.highs.clear()
+    first, second = milp._NodeLp(model), milp._NodeLp(model)
+    assert first._highs is not second._highs
+    held = second._highs
+    first.release()
+    second.release()
+    assert len(milp._idle.highs) == 2
+    assert milp._NodeLp(model)._highs is held  # the last one given back is lent first
+    milp._idle.highs.clear()
+
+
+def test_search_that_raises_gives_its_highs_object_back(monkeypatch):
+    net = _medium_net(1002)
+    fresh = _fresh_outcome(net, SQUARE)
+    status = highs._Highs.getModelStatus
+    calls = []
+
+    def fails_third_solve(h):
+        calls.append(h)
+        return highs.HighsModelStatus.kSolveError if len(calls) == 3 else status(h)
+
+    monkeypatch.setattr(highs._Highs, "getModelStatus", fails_third_solve)
+    with pytest.raises(NoConvergence, match="node LP"):
+        milp.maximize_output(net, SQUARE)
+    monkeypatch.undo()
+    assert len(calls) == 3 and len(milp._idle.highs) == 1
+    held = milp._idle.highs[0]
+    assert held is calls[0]
+    assert _outcome_bits(milp.maximize_output(net, SQUARE)) == fresh
+    assert len(milp._idle.highs) == 1 and milp._idle.highs[0] is held
+
+
+def test_threads_searching_at_once_match_serial_outcomes():
+    # four threads on different nets at once, switching often: each keeps its
+    # own HiGHS object and every outcome equals the serial one
+    jobs = [
+        [(_medium_net(seed), SQUARE) for seed in (1002, 1005, 1006)] * 2,
+        _criterion_1_searches(20) * 2,
+        [(_medium_net(seed), SQUARE) for seed in (1003, 1000)] * 2,
+        _criterion_1_searches(50)[30:] * 2,
+    ]
+    serial = [[_fresh_outcome(net, box) for net, box in searches] for searches in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(searches):
+        start.wait(timeout=60)
+        outcomes = [_outcome_bits(milp.maximize_output(net, box)) for net, box in searches]
+        return outcomes, list(milp._idle.highs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            results = list(pool.map(run, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [outcomes for outcomes, _ in results] == serial
+    idle = [id(h) for _, held in results for h in held]
+    assert len(idle) == len(jobs) == len(set(idle))  # one object per thread
 
 
 def _net_2_16_16_1(seed):
@@ -515,3 +617,32 @@ def test_lp_export_contains_binaries():
     assert text.startswith("Maximize")
     assert "Binary" in text and "End" in text
     assert "Bounds\n -1 <= v0 <= 1\n" in text
+
+
+def test_lp_export_reads_back_exactly(tmp_path):
+    # HiGHS's own LP reader recovers every number of the encoding bit for bit
+    model = milp.encode_network(_medium_net(1002), SQUARE)
+    path = tmp_path / "model.lp"
+    path.write_text(milp.export_lp_text(model))
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == highs.HighsStatus.kOk
+    lp = h.getLp()
+    assert lp.a_matrix_.format_ == highs.MatrixFormat.kColwise
+    assert list(lp.row_names_) == [f"c{r}" for r in range(model.A.shape[0])]
+    col = np.array([int(name[1:]) for name in lp.col_names_])  # file column k is variable col[k]
+    assert sorted(col) == list(range(model.n_vars))
+    A = np.zeros_like(model.A)
+    start = np.asarray(lp.a_matrix_.start_)
+    for k in range(lp.num_col_):
+        rows = np.asarray(lp.a_matrix_.index_[start[k] : start[k + 1]])
+        A[rows, col[k]] = np.asarray(lp.a_matrix_.value_[start[k] : start[k + 1]])
+    assert np.array_equal(A, model.A)
+    assert np.array_equal(np.asarray(lp.row_upper_), model.b)
+    assert np.all(np.asarray(lp.row_lower_) == -np.inf)
+    assert lp.sense_ == highs.ObjSense.kMaximize
+    assert np.array_equal(np.asarray(lp.col_cost_), model.objective[col])
+    assert np.array_equal(np.asarray(lp.col_lower_), model.lo[col])
+    assert np.array_equal(np.asarray(lp.col_upper_), model.hi[col])
+    binary = np.asarray(lp.integrality_) == highs.HighsVarType.kInteger
+    assert np.array_equal(np.sort(col[binary]), model.binary_idx)
