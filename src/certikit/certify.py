@@ -84,22 +84,13 @@ def svd_clamp(spec: SvdClampSpec, U, V) -> np.ndarray:
     return U @ (spec.sigma_diag()[:, None] * V)
 
 
-def orthogonality_defect(M, norm="spectral") -> float:
-    """||I - MM'|| + ||I - M'M||; zero iff M is orthogonal.
-
-    The matrix norm defaults to spectral; Frobenius is available as an option.
-    """
+def orthogonality_defect(M) -> float:
+    """||I - MM'|| + ||I - M'M|| in the spectral norm; zero iff M is orthogonal."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch("matrix must be square")
     eye = np.eye(M.shape[0])
-    if norm == "spectral":
-        nf = lambda X: float(np.linalg.norm(X, 2))
-    elif norm == "fro":
-        nf = lambda X: float(np.linalg.norm(X, "fro"))
-    else:
-        raise ValueError("norm must be 'spectral' or 'fro'")
-    return nf(eye - M @ M.T) + nf(eye - M.T @ M)
+    return float(np.linalg.norm(eye - M @ M.T, 2)) + float(np.linalg.norm(eye - M.T @ M, 2))
 
 
 def phs_checks(sys: dyn.PhsSystem, traj: dyn.Trajectory, tol_dissipation=1e-6) -> dict:

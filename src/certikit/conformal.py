@@ -1,10 +1,11 @@
 """Conformalized quantile regression calibration and heading-aligned
 rectangle scores for trajectory predictions.
 
-Quantiles use the conservative ceil(tau * n) order statistic; the
-finite-sample correction E is the ceil((n+1)(1-delta))-th order statistic of
-the non-conformity scores. Two-dimensional (longitudinal, lateral) regions
-are calibrated per-dimension with a Bonferroni split delta/2.
+Quantiles use the conservative ceil(tau * n) order statistic at the levels
+tau of `Q_LEVELS`; the finite-sample correction E is the
+ceil((n+1)(1-delta))-th order statistic of the non-conformity scores.
+Two-dimensional (longitudinal, lateral) regions are calibrated per-dimension
+with a Bonferroni split delta/2.
 """
 
 import csv
@@ -25,18 +26,16 @@ __all__ = [
     "load_score_csv",
 ]
 
+Q_LEVELS = (0.05, 0.95)  # quantile levels (tau_low, tau_high)
+
 
 @dataclass(frozen=True)
 class ConformalCalibration:
     q_low: float
     q_high: float
-    scores: np.ndarray  # non-conformity values R_i
     E: float
     delta: float
     n_cal: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float).ravel())
 
     def to_dict(self):
         return {
@@ -64,27 +63,22 @@ def _order_stat(sorted_vals, k):
     return float(sorted_vals[k - 1])
 
 
-def calibrate(cal_scores, delta, q_levels=(0.05, 0.95)) -> ConformalCalibration:
+def calibrate(cal_scores, delta) -> ConformalCalibration:
     s = np.asarray(cal_scores, dtype=float).ravel()
     n = s.size
     if n < 1:
         raise InsufficientCalibration("need at least one calibration score")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    tau_low, tau_high = q_levels
-    if not tau_low < tau_high:
-        raise ValueError("require tau_low < tau_high")
     rank = ceil((n + 1) * (1 - delta))
     if rank > n:
         raise InsufficientCalibration(
             f"delta={delta} too small for n={n}: needs order statistic {rank}"
         )
     srt = np.sort(s)
-    q_low = _order_stat(srt, max(1, ceil(tau_low * n)))
-    q_high = _order_stat(srt, max(1, ceil(tau_high * n)))
-    R = np.maximum(q_low - s, s - q_high)
-    E = _order_stat(np.sort(R), rank)
-    return ConformalCalibration(q_low, q_high, R, E, delta, n)
+    q_low, q_high = (_order_stat(srt, max(1, ceil(tau * n))) for tau in Q_LEVELS)
+    R = np.maximum(q_low - s, s - q_high)  # non-conformity scores
+    return ConformalCalibration(q_low, q_high, _order_stat(np.sort(R), rank), delta, n)
 
 
 def region(cal: ConformalCalibration):
@@ -97,12 +91,9 @@ def covers(cal: ConformalCalibration, s) -> bool:
     return bool(lo <= float(s) <= hi)
 
 
-def calibrate_2d(lon_scores, lat_scores, delta, q_levels=(0.05, 0.95)):
+def calibrate_2d(lon_scores, lat_scores, delta):
     """Per-dimension calibration at delta/2 each (Bonferroni joint level 1-delta)."""
-    return (
-        calibrate(lon_scores, delta / 2.0, q_levels),
-        calibrate(lat_scores, delta / 2.0, q_levels),
-    )
+    return calibrate(lon_scores, delta / 2.0), calibrate(lat_scores, delta / 2.0)
 
 
 def load_score_csv(path):

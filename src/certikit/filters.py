@@ -2,7 +2,9 @@
 predictive safety filter.
 
 Class-K gains are restricted to the linear form alpha(s) = kappa * s so that
-every filter solve stays a convex QP, solved exactly by `qp.solve`.
+every filter solve stays a convex QP, solved exactly by `qp.solve`. The
+predictive filter's QP is condensed (Jerez, Kerrigan & Constantinides,
+CDC-ECC 2011): the plan's inputs are its only variables.
 """
 
 from dataclasses import dataclass
@@ -210,13 +212,15 @@ def _set_rows(s, n):
 
 
 class PredictiveSafetyFilter:
-    """N-step predictive safety filter.
+    """N-step predictive safety filter (Wabersich & Zeilinger, Automatica 2021).
 
-    Exact QP for linear models; nonlinear models run successive linearization
-    (at most 10 SQP passes with a trust-region box of 10% of the input range),
-    which is a documented desk-scale approximation. Each pass linearizes with
-    `dyn.linearize`: exact for LinearMap and NetworkMap; central differences
-    otherwise.
+    One condensed QP (`_build_qp`) keeps the plan's first input closest to the
+    nominal one while every predicted state stays in the state set and the
+    last in the terminal set. Exact QP for linear models; nonlinear models run
+    successive linearization (at most 10 SQP passes with a trust-region box of
+    10% of the input range), which is a documented desk-scale approximation.
+    Each pass linearizes with `dyn.linearize`: exact for LinearMap and
+    NetworkMap; central differences otherwise.
     """
 
     SQP_MAX = 10
@@ -227,12 +231,14 @@ class PredictiveSafetyFilter:
         self.terminal_defaulted = cfg.terminal_set is None
 
     def _build_qp(self, As, Bs, cs, x0, u_nom):
-        """Stacked-variable QP over z = (u_0..u_{N-1}, x_1..x_N [, slacks]).
+        """Condensed QP over z = (u_0..u_{N-1} [, slacks]).
 
-        Row blocks, in order: the dynamics x_{i+1} - A_i x_i - B_i u_i = c_i,
-        stage by stage; the N*m input-box rows; the state rows X(x_1)..X(x_N),
-        then E(x_N); in soft mode, one slack per state row, then the rows
-        slack >= 0.
+        The plan's states are affine in its inputs: from M = 0 and o = x0,
+        M <- A_i M + B_i E_i and o <- A_i o + c_i give x_{i+1} = M u + o, where
+        E_i picks u_i out of u. Row blocks, in order: the N*m input-box rows;
+        the state rows X(x_1)..X(x_N), then E(x_N), each X_A x <= X_b written
+        as X_A M u <= X_b - X_A o; in soft mode, one slack per state row, then
+        the rows slack >= 0.
         """
         cfg = self.cfg
         N = cfg.horizon
@@ -242,35 +248,27 @@ class PredictiveSafetyFilter:
         term = cfg.terminal_set if cfg.terminal_set is not None else cfg.state_set
         E_A, E_b = _set_rows(term, n)
         soft = cfg.slack_weight > 0
-        nu, nx, kx = N * m, N * n, X_A.shape[0]
+        nu, kx = N * m, X_A.shape[0]
         ns = N * kx + E_A.shape[0]  # state rows, and slacks in soft mode
-        nv = nu + nx + (ns if soft else 0)
-        s0 = nx + nu  # first state row
-        A = np.zeros((s0 + (2 * ns if soft else ns), nv))
+        nv = nu + (ns if soft else 0)
+        A = np.zeros((nu + (2 * ns if soft else ns), nv))
         lo = np.full(A.shape[0], -np.inf)
         hi = np.full(A.shape[0], np.inf)
-        # dynamics
-        A[np.arange(nx), nu + np.arange(nx)] = 1.0
-        for i in range(N):
-            rows = slice(i * n, (i + 1) * n)
-            A[rows, i * m : (i + 1) * m] = -Bs[i]
-            if i == 0:
-                # row by row: a matvec As[0] @ x0 sums in another order and
-                # can move the last bit of every PSF answer
-                rhs = [cs[0][r] + As[0][r] @ x0 for r in range(n)]
-            else:
-                A[rows, nu + (i - 1) * n : nu + i * n] = -As[i]
-                rhs = cs[i]
-            lo[rows] = hi[rows] = rhs
         # input box
-        A[nx + np.arange(nu), np.arange(nu)] = 1.0
-        lo[nx:s0] = np.tile(cfg.input_set.lower, N)
-        hi[nx:s0] = np.tile(cfg.input_set.upper, N)
-        # state and terminal sets
+        A[np.arange(nu), np.arange(nu)] = 1.0
+        lo[:nu] = np.tile(cfg.input_set.lower, N)
+        hi[:nu] = np.tile(cfg.input_set.upper, N)
+        # state and terminal sets; A_i M is still 0 in u_i's columns
+        M, o = np.zeros((n, nu)), x0
         for i in range(N):
-            A[s0 + i * kx : s0 + (i + 1) * kx, nu + i * n : nu + (i + 1) * n] = X_A
-        A[s0 + N * kx : s0 + ns, nu + nx - n : nu + nx] = E_A
-        hi[s0 : s0 + ns] = np.concatenate([np.tile(X_b, N), E_b])
+            M = As[i] @ M
+            M[:, i * m : (i + 1) * m] = Bs[i]
+            o = As[i] @ o + cs[i]
+            rows = slice(nu + i * kx, nu + (i + 1) * kx)
+            A[rows, :nu] = X_A @ M
+            hi[rows] = X_b - X_A @ o
+        A[nu + N * kx : nu + ns, :nu] = E_A @ M
+        hi[nu + N * kx : nu + ns] = E_b - E_A @ o
         P = np.zeros((nv, nv))
         P[:m, :m] = np.eye(m)
         q = np.zeros(nv)
@@ -278,10 +276,10 @@ class PredictiveSafetyFilter:
         if soft:
             # diagonal entries only: -np.eye would write -0.0 off the diagonal
             k = np.arange(ns)
-            A[s0 + k, nu + nx + k] = -1.0
-            A[s0 + ns + k, nu + nx + k] = 1.0
-            lo[s0 + ns :] = 0.0
-            P[nu + nx :, nu + nx :] = cfg.slack_weight * np.eye(ns)
+            A[nu + k, nu + k] = -1.0
+            A[nu + ns + k, nu + k] = 1.0
+            lo[nu + ns :] = 0.0
+            P[nu:, nu:] = cfg.slack_weight * np.eye(ns)
         return qp.QProblem(P, q, A, lo, hi)
 
     def filter(self, x, u_nom):
@@ -327,8 +325,7 @@ class PredictiveSafetyFilter:
         return u_plan[0], diags
 
     def _diagnostics(self, sol, sqp_iters):
-        N = self.cfg.horizon
-        slacks = sol.z[N * (self.model.state_dim + self.model.input_dim) :]  # empty in hard mode
+        slacks = sol.z[self.cfg.horizon * self.model.input_dim :]  # empty in hard mode
         active = int(np.sum(np.abs(sol.dual) > 1e-7))
         return {
             "active_constraints": active,

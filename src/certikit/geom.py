@@ -49,14 +49,6 @@ class Box:
     def dim(self):
         return self.lower.size
 
-    @property
-    def center(self):
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def radius(self):
-        return 0.5 * (self.upper - self.lower)
-
 
 @dataclass(frozen=True)
 class OrientedBox:

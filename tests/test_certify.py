@@ -64,9 +64,6 @@ def test_orthogonality_defect_zero_for_orthogonal():
     # frozen value for a known non-orthogonal matrix: M = 2I gives
     # ||I - 4I|| + ||I - 4I|| = 6 in spectral norm
     assert certify.orthogonality_defect(2 * np.eye(3)) == pytest.approx(6.0)
-    assert certify.orthogonality_defect(2 * np.eye(3), norm="fro") == pytest.approx(
-        2 * 3 * np.sqrt(3)
-    )
 
 
 def lossless_oscillator():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certikit import cli, nn
+from certikit import cli, conformal, gpphs, nn
 from certikit.errors import ConfigError, UnknownDemo
 
 
@@ -371,6 +371,39 @@ def test_conformal_task(tmp_path):
     code, rep = run_main(tmp_path, {"task": "conformal", "scores": scores, "delta": 0.1})
     assert code == 0
     assert rep["calibration"]["n_cal"] == 100
+
+
+def test_conformal_task_from_scores_csv(tmp_path):
+    # 40 (prediction x, y, heading, actual x, y) rows: calibrate_2d needs
+    # n >= 19 at the default delta = 0.1
+    rng = np.random.default_rng(5)
+    pred = np.column_stack([rng.uniform(-5.0, 5.0, (40, 2)), rng.uniform(-np.pi, np.pi, 40)])
+    rows = np.column_stack([pred, pred[:, :2] + rng.normal(scale=0.2, size=(40, 2))])
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_text("px,py,heading,ax,ay\n" + "\n".join(",".join(map(repr, r.tolist())) for r in rows) + "\n")
+    code, rep = run_main(tmp_path, {"task": "conformal", "scores_csv": str(csv_path)})
+    assert code == 0
+    cal_lon, cal_lat = conformal.calibrate_2d(*conformal.load_score_csv(csv_path), 0.1)
+    assert rep["calibration"] == json.loads(json.dumps({"lon": cal_lon.to_dict(), "lat": cal_lat.to_dict()}))
+    assert rep["calibration"]["lon"]["n_cal"] == 40
+
+
+def test_gpphs_task_from_dataset_csv(tmp_path):
+    # columns t, x0, x1: the CSV job estimates derivatives with the derivative
+    # filter, so it reports what the same data given inline reports
+    t = np.linspace(0.0, 1.0, 6)
+    X = np.column_stack([np.cos(t), -np.sin(t)])
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("t,x0,x1\n" + "\n".join(",".join(map(repr, r.tolist())) for r in np.column_stack([t, X])) + "\n")
+    job = {"task": "gpphs", "init_params": GP_PARAMS, "budget": 20}
+    code, from_csv = run_main(tmp_path, {**job, "dataset_csv": str(csv_path)})
+    assert code == 0
+    inline = {**job, "states": X.tolist(), "derivs": gpphs.derivative_filter(t, X).tolist()}
+    code, from_inline = run_main(tmp_path, inline)
+    assert code == 0
+    from_csv.pop("wall_time_s")
+    from_inline.pop("wall_time_s")
+    assert from_csv == from_inline
 
 
 def test_reach_task_interval(tmp_path):

@@ -13,7 +13,7 @@ def test_order_statistic_ranks_pinned():
     rank = int(np.ceil((n + 1) * (1 - delta)))
     assert rank == 91
     scores = np.arange(1.0, n + 1)  # k-th order statistic is k
-    cal = conformal.calibrate(scores, delta, q_levels=(0.05, 0.95))
+    cal = conformal.calibrate(scores, delta)
     # q_low = ceil(0.05*100) = 5th value, q_high = 95th
     assert cal.q_low == 5.0
     assert cal.q_high == 95.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from certikit import dyn, filters, geom, nn, qp
-from certikit.errors import InfeasibleFilter
+from certikit.errors import CertikitError, InfeasibleFilter, SqpNoConverge
 
 
 def integrator():
@@ -249,6 +249,17 @@ def test_psf_double_integrator_qp_is_kkt_exact():
     assert braked > 0
 
 
+def test_psf_qp_is_condensed():
+    # the plan's inputs are the only variables: no predicted state and no
+    # dynamics row, so the filter-loop QP has N*m = 10 variables and
+    # 10 input-box rows, 4 * 10 state rows and 4 terminal rows
+    exact, _, cfg = _double_integrator_models()
+    flt = filters.PredictiveSafetyFilter(exact, cfg)
+    prob = flt._build_qp([exact.A] * 10, [exact.B] * 10, [np.zeros(2)] * 10, np.array([0.2, 0.3]), np.array([1.2]))
+    assert (prob.n, prob.m) == (10, 54)
+    assert not np.any(prob.l == prob.u)
+
+
 def _random_set(rng, n, box):
     if box:
         lo = rng.uniform(-1.5, -0.5, n)
@@ -268,9 +279,9 @@ def _halfspaces(s):
 @pytest.mark.parametrize("terminal", ["explicit", "default"])
 @pytest.mark.parametrize("box", [True, False], ids=["box", "hpolytope"])
 def test_psf_qp_encodes_rollout_and_sets(box, terminal, soft):
-    # what the stacked QP means, read through z = (u, x, slacks) only: a
-    # rolled-out plan satisfies every dynamics row, each state row measures
-    # one row of X at one stage (or of E at x_N), and each slack relaxes one
+    # what the condensed QP means, read through z = (u, slacks) only: at a
+    # plan's inputs, each state row measures one row of X at one stage of the
+    # rolled-out plan (or of E at x_N), and each slack relaxes one
     rng = np.random.default_rng(3)
     violated = 0
     for _ in range(20):
@@ -293,13 +304,10 @@ def test_psf_qp_encodes_rollout_and_sets(box, terminal, soft):
         X_A, X_b = _halfspaces(X)
         E_A, E_b = _halfspaces(X if E is None else E)
         n_slack = N * X_A.shape[0] + E_A.shape[0] if soft else 0
-        assert prob.n == N * (n + m) + n_slack
-        z = np.concatenate([us.ravel(), np.concatenate(xs[1:]), np.zeros(n_slack)])
+        assert prob.n == N * m + n_slack
+        z = np.concatenate([us.ravel(), np.zeros(n_slack)])
         Az = prob.A @ z
-        eq = prob.l == prob.u
-        assert eq.sum() == N * n
-        assert np.max(np.abs(Az[eq] - prob.l[eq])) <= 1e-12
-        inputs = np.isfinite(prob.l) & np.isfinite(prob.u) & ~eq
+        inputs = np.isfinite(prob.l) & np.isfinite(prob.u)
         assert inputs.sum() == N * m and np.all(prob.l[inputs] == -1.0) and np.all(prob.u[inputs] == 1.0)
         state = np.isneginf(prob.l)
         residual = np.concatenate([X_A @ xs[i] - X_b for i in range(1, N + 1)] + [E_A @ xs[N] - E_b])
@@ -314,9 +322,34 @@ def test_psf_qp_encodes_rollout_and_sets(box, terminal, soft):
             assert slack_rows.sum() == n_slack
             for k in range(n_slack):
                 dz = np.zeros(prob.n)
-                dz[N * (n + m) + k] = 0.5
+                dz[N * m + k] = 0.5
                 dAz = prob.A @ dz
                 assert np.sum(dAz[state] == -0.5) == 1 and np.sum(dAz[state] != 0.0) == 1
                 assert np.sum(dAz[slack_rows] == 0.5) == 1
                 assert prob.objective(dz) == 0.5 * weight * 0.25
     assert violated > 0
+
+
+def test_psf_learned_model_persistent_push_fails_typed():
+    # the learned model under the exact-model episode's persistent push, 20
+    # episodes of 20 ticks: the SQP gives up (SqpNoConverge) in some, and
+    # every episode either completes or ends in a typed error, after ticks
+    # that all keep the state inside the state set
+    _, model, cfg = _double_integrator_models()
+    psf = filters.PredictiveSafetyFilter(model, cfg)
+    ends = []
+    for ep in range(20):
+        rng = np.random.default_rng([1, ep])
+        x = rng.uniform([-0.5, -0.3], [0.5, 0.3])
+        push = rng.choice([-1.0, 1.0])
+        end = None
+        for u_nom in [push * rng.uniform(0.5, 1.5, size=1) for _ in range(20)]:
+            try:
+                u, _ = psf.filter(x, u_nom)
+            except CertikitError as e:
+                end = type(e)
+                break
+            x = dyn.step(model, x, u)
+            assert np.all(np.abs(x) <= 1.0 + 1e-6)
+        ends.append(end)
+    assert SqpNoConverge in ends

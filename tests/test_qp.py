@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from certikit import qp
 from helpers_oracles import active_set_oracle, exact_qp_oracle, lp_feasible, random_feasible_qp
@@ -198,6 +199,58 @@ def test_zero_multipliers_with_every_stationarity_term_near_zero():
     assert sol.status == "Optimal" and sol.iterations == 2
     np.testing.assert_allclose(sol.z, [0.0, 0.25], atol=1e-15)
     assert abs(sol.dual[0]) <= 1e-15
+
+
+def _lp_over_unit_box(c, rows, rhs):
+    """min c'z subject to -1 <= z <= 1 and rows z <= rhs, as a QP with P = 0."""
+    n = len(c)
+    A = np.vstack([np.eye(n), rows])
+    l = np.concatenate([-np.ones(n), np.full(len(rows), -np.inf)])
+    return qp.QProblem(np.zeros((n, n)), c, A, l, np.concatenate([np.ones(n), rhs]))
+
+
+@pytest.mark.parametrize(
+    "c, rows, rhs, z_star, added, dropped",
+    [
+        # the first active set is x - y <= 0, y <= 0 and -x - y <= 0 (rows 2-4
+        # of A); y <= 0 gets a wrong-signed multiplier and is dropped
+        ([2.0, 2.0], [[1, -1], [0, 1], [-1, -1], [0, -1]], [0, 0, 0, 0], [0.0, 0.0], [], [3]),
+        # the first active set is (1, -1, -1) z <= 2 and (2, -1, 2) z <= 0
+        # (rows 3 and 8); its answer violates -2y <= 0 (row 5), which is added
+        (
+            [-1.0, 1.0, 1.0],
+            [[1, -1, -1], [1, 0, 1], [0, -2, 0], [0, 1, 1], [-1, -1, -1], [2, -1, 2]],
+            [2, 1, 0, 1, 0, 0],
+            [1.0, 0.0, -1.0],
+            [5],
+            [],
+        ),
+    ],
+    ids=["drop", "add"],
+)
+def test_active_set_add_and_drop_steps(monkeypatch, c, rows, rhs, z_star, added, dropped):
+    # LPs whose first KKT answer fails its check: one row is dropped or added,
+    # and the second KKT solve is the optimum that HiGHS finds
+    sets = []
+    kkt = qp._kkt
+
+    def spy(prob, act, b, refine):
+        sets.append((act.copy(), refine))
+        return kkt(prob, act, b, refine)
+
+    monkeypatch.setattr(qp, "_kkt", spy)
+    prob = _lp_over_unit_box(np.array(c), np.array(rows, dtype=float), np.array(rhs, dtype=float))
+    sol = qp.solve(prob)
+    assert sol.status == "Optimal" and sol.iterations == 2
+    (first, r1), (second, r2) = sets
+    assert not r1 and not r2
+    assert np.flatnonzero(second & ~first).tolist() == added
+    assert np.flatnonzero(first & ~second).tolist() == dropped
+    ref = linprog(c, A_ub=rows, b_ub=rhs, bounds=[(-1.0, 1.0)] * len(c), method="highs")
+    assert ref.status == 0
+    np.testing.assert_allclose(sol.z, ref.x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sol.z, z_star, rtol=0, atol=1e-12)
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-12)
 
 
 def test_validation_rejects_bad_problems():
