@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 SCHUR_MARGIN = 1e-12
+DISSIPATION_TOL = 1e-6  # phs_checks: per-step slack dH - supplied energy
+CONSERVATION_TOL = 1e-8  # conservation_check: max |sum of components|
+ENERGY_TOL = 1e-10  # quadratic_energy_check: max |x'Q(x, x)|
+ZUBOV_RANGE_TOL = 1e-9  # zubov_residual: W in (0, 1) off the origin, W(0) = 0
 
 
 def _eigvals(K):
@@ -93,7 +97,7 @@ def orthogonality_defect(M) -> float:
     return float(np.linalg.norm(eye - M @ M.T, 2)) + float(np.linalg.norm(eye - M.T @ M, 2))
 
 
-def phs_checks(sys: dyn.PhsSystem, traj: dyn.Trajectory, tol_dissipation=1e-6) -> dict:
+def phs_checks(sys: dyn.PhsSystem, traj: dyn.Trajectory) -> dict:
     """Structure and dissipation audit of a simulated port-Hamiltonian trajectory.
 
     Verifies skew-symmetry of J, positive semidefiniteness of R, the per-step
@@ -112,16 +116,16 @@ def phs_checks(sys: dyn.PhsSystem, traj: dyn.Trajectory, tol_dissipation=1e-6) -
         uy = np.zeros(len(traj))
     dt = np.diff(traj.times)
     supplied = 0.5 * dt * (uy[:-1] + uy[1:])
-    slack = np.diff(H) - supplied  # must be <= tol per step
+    slack = np.diff(H) - supplied  # must be <= DISSIPATION_TOL per step
     worst = int(np.argmax(slack)) if slack.size else 0
     checks = [
         {"name": "j_skew_symmetric", "passed": skew_defect <= 1e-12, "value": skew_defect, "tol": 1e-12},
         {"name": "r_psd", "passed": r_min_eig >= -1e-10, "value": r_min_eig, "tol": -1e-10},
         {
             "name": "dissipation",
-            "passed": bool(slack.size == 0 or np.max(slack) <= tol_dissipation),
+            "passed": bool(slack.size == 0 or np.max(slack) <= DISSIPATION_TOL),
             "value": float(np.max(slack, initial=0.0)),
-            "tol": tol_dissipation,
+            "tol": DISSIPATION_TOL,
             "witness_step": worst,
         },
         {"name": "equilibrium_gradient", "passed": grad0 == 0.0, "value": grad0, "tol": 0.0},
@@ -136,7 +140,7 @@ def phs_checks(sys: dyn.PhsSystem, traj: dyn.Trajectory, tol_dissipation=1e-6) -
     }
 
 
-def conservation_check(model, samples, tol=1e-8) -> dict:
+def conservation_check(model, samples) -> dict:
     """Max over samples of |sum_i f_i(x)| (ODE) or |sum_i (f(x) - x)_i| (map)."""
     pts = samples.points if hasattr(samples, "points") else np.atleast_2d(samples)
     defects = np.empty(pts.shape[0])
@@ -148,14 +152,14 @@ def conservation_check(model, samples, tol=1e-8) -> dict:
     worst = int(np.argmax(defects))
     return {
         "check": "conservation",
-        "passed": bool(np.max(defects) <= tol),
+        "passed": bool(np.max(defects) <= CONSERVATION_TOL),
         "max_defect": float(np.max(defects)),
-        "tol": tol,
+        "tol": CONSERVATION_TOL,
         "witness": pts[worst].tolist(),
     }
 
 
-def quadratic_energy_check(model: dyn.PolynomialMap, samples, tol=1e-10) -> dict:
+def quadratic_energy_check(model: dyn.PolynomialMap, samples) -> dict:
     """Energy-preservation of the quadratic terms: e(x) = x'Q(x,x) must vanish.
 
     Also reports the algebraic defect: the largest fully-symmetrized
@@ -177,10 +181,10 @@ def quadratic_energy_check(model: dyn.PolynomialMap, samples, tol=1e-10) -> dict
     worst = int(np.argmax(np.abs(e)))
     return {
         "check": "quadratic_energy",
-        "passed": bool(np.max(np.abs(e), initial=0.0) <= tol),
+        "passed": bool(np.max(np.abs(e), initial=0.0) <= ENERGY_TOL),
         "max_energy_rate": float(np.max(np.abs(e), initial=0.0)),
         "algebraic_defect": float(np.max(np.abs(sym), initial=0.0)),
-        "tol": tol,
+        "tol": ENERGY_TOL,
         "witness": pts[worst].tolist(),
     }
 
@@ -240,7 +244,7 @@ def _w_and_grad(W, x):
     return w, dyn.central_difference(w_eval, x, 1e-5)
 
 
-def zubov_residual(spec: ZubovSpec, samples, range_tol=1e-9) -> dict:
+def zubov_residual(spec: ZubovSpec, samples) -> dict:
     """PDE residual grad W . f + Psi (1 - W) over samples, plus range checks.
 
     W must map into (0,1) away from the equilibrium and vanish at the origin.
@@ -252,7 +256,7 @@ def zubov_residual(spec: ZubovSpec, samples, range_tol=1e-9) -> dict:
         w, g = _w_and_grad(spec.W, x)
         f = np.asarray(spec.dynamics(x), dtype=float)
         res[k] = g @ f + spec.psi_eval(x) * (1.0 - w)
-        if np.linalg.norm(x) > 1e-12 and not (-range_tol < w < 1.0 + range_tol):
+        if np.linalg.norm(x) > 1e-12 and not (-ZUBOV_RANGE_TOL < w < 1.0 + ZUBOV_RANGE_TOL):
             range_violations.append({"x": x.tolist(), "w": w})
     w0, _ = _w_and_grad(spec.W, np.zeros(pts.shape[1]))
     worst = int(np.argmax(np.abs(res)))
@@ -262,7 +266,7 @@ def zubov_residual(spec: ZubovSpec, samples, range_tol=1e-9) -> dict:
         "mean_residual": float(np.mean(np.abs(res))),
         "witness": pts[worst].tolist(),
         "w_at_origin": w0,
-        "origin_ok": abs(w0) <= range_tol,
+        "origin_ok": abs(w0) <= ZUBOV_RANGE_TOL,
         "range_violations": range_violations,
-        "passed": abs(w0) <= range_tol and not range_violations,
+        "passed": abs(w0) <= ZUBOV_RANGE_TOL and not range_violations,
     }

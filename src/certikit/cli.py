@@ -20,6 +20,12 @@ import sys
 import tempfile
 import time
 
+# every solve is tiny, so one BLAS thread is fastest; the variables must be
+# set before numpy is first imported (certikit/__init__.py imports none), and
+# a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import (

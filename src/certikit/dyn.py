@@ -1,6 +1,7 @@
 """Dynamics model representations, simulation, closed-loop composition, and
-linearization (exact for LinearMap and NetworkMap; central differences
-otherwise).
+linearization (the map's value with its Jacobians: exact for the linear,
+polynomial, Koopman and network maps; central differences for composed and
+ODE maps).
 
 The model library is deliberately closed (linear, polynomial, ReLU-network,
 Koopman-latent maps; linear/polynomial/PHS/bicycle ODEs) so downstream
@@ -478,26 +479,34 @@ def central_difference(f, x, h):
 
 
 def linearize(model, x, u=None):
-    """Jacobians (A, B) of a discrete map at (x, u), checked against the
-    model's dimensions: exact for LinearMap and NetworkMap (one forward pass,
-    `nn.jacobian`); central differences with step 1e-5 (1 + max|x|) otherwise."""
+    """The value f(x, u) of a discrete map with its Jacobians (A, B), checked
+    against the model's dimensions. Exact for LinearMap, PolynomialMap
+    (A = L + 2 sum_k Q[:, :, k] x_k), KoopmanLatentMap and NetworkMap (value
+    and Jacobian from one forward pass, `nn.jacobian`); central differences
+    with step 1e-5 (1 + max|x|) for composed and ODE maps. A non-finite value
+    raises NonFiniteState, as in `step`."""
     x, u = _point(model, x, u)
-    if isinstance(model, LinearMap):
-        B = model.B if model.B is not None else np.zeros((model.state_dim, 0))
-        return model.A.copy(), B.copy()
+    no_input = np.empty((x.size, 0))
     if isinstance(model, NetworkMap):
-        J = nn.jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
+        fx, J = nn._value_and_jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
+        if not np.all(np.isfinite(fx)):
+            raise NonFiniteState("map produced NaN/Inf")
         A, B = J[:, : x.size], J[:, x.size :]
     else:
-        h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
-        A = central_difference(lambda xi: step(model, xi, u), x, h)
-        if model.input_dim > 0:
-            B = central_difference(lambda ui: step(model, x, ui), u, h)
+        fx = step(model, x, u)
+        if isinstance(model, LinearMap):
+            A, B = model.A.copy(), no_input if model.B is None else model.B.copy()
+        elif isinstance(model, PolynomialMap):
+            A, B = model.linear + 2.0 * (model.quadratic @ x), no_input
+        elif isinstance(model, KoopmanLatentMap):
+            A, B = model.K.copy(), no_input
         else:
-            B = np.empty((x.size, 0))
+            h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
+            A = central_difference(lambda xi: step(model, xi, u), x, h)
+            B = central_difference(lambda ui: step(model, x, ui), u, h) if model.input_dim > 0 else no_input
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NonFiniteState("non-finite Jacobian")
-    return A, B
+    return fx, A, B
 
 
 # -- serialization ---------------------------------------------------------

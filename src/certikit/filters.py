@@ -4,7 +4,8 @@ predictive safety filter.
 Class-K gains are restricted to the linear form alpha(s) = kappa * s so that
 every filter solve stays a convex QP, solved exactly by `qp.solve`. The
 predictive filter's QP is condensed (Jerez, Kerrigan & Constantinides,
-CDC-ECC 2011): the plan's inputs are its only variables.
+CDC-ECC 2011): the plan's inputs are its only variables. Nonlinear models
+plan by a full-step SQP, one linearization per stage and pass.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ __all__ = [
     "predictive_safety_filter",
 ]
 
+GRADIENT_TOL = 1e-6  # BarrierSpec.validate_gradient: fd error relative to 1 + max|grad_h|
+
 
 @dataclass(frozen=True)
 class BarrierSpec:
@@ -40,12 +43,12 @@ class BarrierSpec:
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
 
-    def validate_gradient(self, x, tol=1e-6):
+    def validate_gradient(self, x):
         x = np.asarray(x, dtype=float).ravel()
         g = np.asarray(self.grad_h(x), dtype=float).ravel()
         fd = dyn.central_difference(self.h, x, 1e-6)
         err = np.max(np.abs(fd - g), initial=0.0)
-        if err > tol * (1.0 + np.max(np.abs(g), initial=0.0)):
+        if err > GRADIENT_TOL * (1.0 + np.max(np.abs(g), initial=0.0)):
             raise ValueError(f"grad_h inconsistent with h (fd error {err:.3g})")
 
 
@@ -216,11 +219,13 @@ class PredictiveSafetyFilter:
 
     One condensed QP (`_build_qp`) keeps the plan's first input closest to the
     nominal one while every predicted state stays in the state set and the
-    last in the terminal set. Exact QP for linear models; nonlinear models run
-    successive linearization (at most 10 SQP passes with a trust-region box of
-    10% of the input range), which is a documented desk-scale approximation.
-    Each pass linearizes with `dyn.linearize`: exact for LinearMap and
-    NetworkMap; central differences otherwise.
+    last in the terminal set. A LinearMap is answered by that one QP.
+    Other models run a plain SQP, a documented desk-scale approximation: from
+    the clipped nominal plan, each pass linearizes once per stage with
+    `dyn.linearize` (its value f(x_i, u_i) is the next stage's point), solves
+    the QP and takes its plan whole, at most SQP_MAX passes, stopping once
+    no input moves more than 1e-8. A step still above 1e-3 (1 + max|u|) at
+    the last pass raises SqpNoConverge.
     """
 
     SQP_MAX = 10
@@ -285,37 +290,30 @@ class PredictiveSafetyFilter:
     def filter(self, x, u_nom):
         x = np.asarray(x, dtype=float).ravel()
         u_nom = np.asarray(u_nom, dtype=float).ravel()
-        cfg = self.cfg
-        N = cfg.horizon
-        n = self.model.state_dim
-        m = self.model.input_dim
-        linear = isinstance(self.model, dyn.LinearMap)
-        if linear:
-            B0 = self.model.B if self.model.B is not None else np.zeros((n, m))
-            As, Bs, cs = [self.model.A] * N, [B0] * N, [np.zeros(n)] * N
-        else:
-            # successive linearization around the rolled-out nominal plan
-            trust = 0.1 * np.max(cfg.input_set.upper - cfg.input_set.lower)
-            u_plan = np.tile(np.clip(u_nom, cfg.input_set.lower, cfg.input_set.upper), (N, 1))
+        model, cfg = self.model, self.cfg
+        N, n, m = cfg.horizon, model.state_dim, model.input_dim
+        if x.size != n or u_nom.size != m:
+            raise DimensionMismatch(f"x, u_nom of sizes {x.size}, {u_nom.size}; the model expects {n}, {m}")
+        if isinstance(model, dyn.LinearMap):
+            B = model.B if model.B is not None else np.zeros((n, m))
+            sol = self._solve([model.A] * N, [B] * N, [np.zeros(n)] * N, x, u_nom)
+            return sol.z[:m], self._diagnostics(sol, sqp_iters=0)
+        # full-step successive linearization, from the clipped nominal plan;
+        # each stage's value is the next stage's linearization point
+        u_plan = np.tile(np.clip(u_nom, cfg.input_set.lower, cfg.input_set.upper), (N, 1))
         for it in range(self.SQP_MAX):
-            if not linear:
-                xs = [x]
-                for i in range(N):
-                    xs.append(dyn.step(self.model, xs[-1], u_plan[i]))
-                As, Bs, cs = [], [], []
-                for i in range(N):
-                    Ai, Bi = dyn.linearize(self.model, xs[i], u_plan[i])
-                    As.append(Ai)
-                    Bs.append(Bi)
-                    cs.append(xs[i + 1] - Ai @ xs[i] - Bi @ u_plan[i])
-            sol = qp.solve(self._build_qp(As, Bs, cs, x, u_nom))
-            if sol.status == "PrimalInfeasible":
-                raise InfeasibleFilter("predictive safety filter infeasible", certificate=sol.certificate)
-            if linear:
-                return sol.z[:m], self._diagnostics(sol, sqp_iters=0)
+            As, Bs, cs = [], [], []
+            xi = x
+            for ui in u_plan:
+                x_next, Ai, Bi = dyn.linearize(model, xi, ui)
+                As.append(Ai)
+                Bs.append(Bi)
+                cs.append(x_next - Ai @ xi - Bi @ ui)
+                xi = x_next
+            sol = self._solve(As, Bs, cs, x, u_nom)
             new_plan = sol.z[: N * m].reshape(N, m)
             step_sz = np.max(np.abs(new_plan - u_plan), initial=0.0)
-            u_plan = u_plan + np.clip(new_plan - u_plan, -trust, trust)
+            u_plan = new_plan
             if step_sz <= 1e-8:
                 break
             if it == self.SQP_MAX - 1 and step_sz > 1e-3 * (1 + np.max(np.abs(u_plan))):
@@ -323,6 +321,12 @@ class PredictiveSafetyFilter:
         diags = self._diagnostics(sol, sqp_iters=it + 1)
         diags["approximation"] = "successive_linearization"
         return u_plan[0], diags
+
+    def _solve(self, As, Bs, cs, x0, u_nom):
+        sol = qp.solve(self._build_qp(As, Bs, cs, x0, u_nom))
+        if sol.status == "PrimalInfeasible":
+            raise InfeasibleFilter("predictive safety filter infeasible", certificate=sol.certificate)
+        return sol
 
     def _diagnostics(self, sol, sqp_iters):
         slacks = sol.z[self.cfg.horizon * self.model.input_dim :]  # empty in hard mode

@@ -196,6 +196,12 @@ def jacobian(net, x):
     J_k = diag(act'(z_k)) (U_k J_{k-1} + W_k)). Preactivations are formed as in
     `forward`, and relu's slope at an exact kink is 0 (see `_slope`).
     """
+    return _value_and_jacobian(net, x)[1]
+
+
+def _value_and_jacobian(net, x):
+    """(net(x), Jacobian at x) from the one forward pass `jacobian` describes;
+    the value equals `forward(net, x)` bit for bit."""
     if not isinstance(net, (Mlp, Icnn)):
         raise UnsupportedModel(f"no Jacobian for {type(net).__name__}")
     x = np.asarray(x, dtype=float).ravel()
@@ -220,7 +226,7 @@ def jacobian(net, x):
                 pre = Z @ net.U[i - 1].T + X @ net.W[i].T + net.b[i]
                 Z = _act(net.activations[i], pre)
                 J = _slope(net.activations[i], pre, Z).T * (net.U[i - 1] @ J + net.W[i])
-    return J
+    return Z[0], J
 
 
 def lyapunov_eval(V: LyapunovCandidate, x):

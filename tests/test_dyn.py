@@ -115,7 +115,7 @@ def test_closed_loop_ode_discretization():
 def test_linearize_matches_linear_map_exactly():
     A = np.array([[0.3, 1.0], [0.0, 0.9]])
     B = np.array([[0.0], [1.0]])
-    Aj, Bj = dyn.linearize(dyn.LinearMap(A, B), [1.0, 2.0], [0.1])
+    _, Aj, Bj = dyn.linearize(dyn.LinearMap(A, B), [1.0, 2.0], [0.1])
     np.testing.assert_array_equal(Aj, A)
     np.testing.assert_array_equal(Bj, B)
 
@@ -128,12 +128,42 @@ def test_linearize_linear_map_rejects_wrong_dims():
         dyn.linearize(m, [1.0, 2.0], [0.1, 0.2])
 
 
-def test_linearize_polynomial_fd_accuracy():
+def test_linearize_polynomial_is_exact():
     Q = np.zeros((1, 1, 1))
     Q[0, 0, 0] = 1.0
     m = dyn.PolynomialMap(np.array([[0.5]]), Q)  # x+ = 0.5x + x^2
-    A, _ = dyn.linearize(m, [2.0])
-    assert A[0, 0] == pytest.approx(0.5 + 2 * 2.0, abs=1e-6)
+    _, A, _ = dyn.linearize(m, [2.0])
+    assert A.tolist() == [[4.5]]  # 0.5 + 2 * 2.0, exactly
+
+
+def test_linearize_value_is_step_bit_for_bit():
+    # the value linearize returns is the map's own evaluation at (x, u), so
+    # an SQP rolls its plan out from it; a non-finite value raises as in step
+    rng = np.random.default_rng(5)
+    Q = rng.normal(size=(2, 2, 2))
+    net = nn.Mlp(
+        (
+            nn.Layer(rng.normal(size=(5, 3)), rng.normal(size=5), "sigmoid"),
+            nn.Layer(rng.normal(size=(2, 5)), rng.normal(size=2), "identity"),
+        )
+    )
+    K = rng.normal(size=(2, 2))
+    models = [
+        dyn.LinearMap(rng.normal(size=(2, 2)), rng.normal(size=(2, 1))),
+        dyn.PolynomialMap(rng.normal(size=(2, 2)), Q + np.swapaxes(Q, 1, 2)),
+        dyn.KoopmanLatentMap(K),
+        dyn.NetworkMap(net, input_dim=1),
+        dyn.closed_loop(dyn.linear_ode(-np.eye(2), np.ones((2, 1))), None, dt=0.1),
+    ]
+    for model in models:
+        x = rng.normal(size=2)
+        u = rng.normal(size=1) if model.input_dim else None
+        fx, A, B = dyn.linearize(model, x, u)
+        np.testing.assert_array_equal(fx, dyn.step(model, x, u))
+        assert A.shape == (2, 2) and B.shape == (2, model.input_dim)
+    assert np.array_equal(dyn.linearize(models[2], [1.0, 2.0])[1], K)
+    with pytest.raises(NonFiniteState):
+        dyn.linearize(dyn.NetworkMap(nn.Mlp((nn.Layer([[10.0]], [0.0], "identity"),))), [1e308])
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "softplus", "relu", "identity"])
@@ -152,7 +182,7 @@ def test_linearize_network_matches_decimal_jacobian(act, m):
     model = dyn.NetworkMap(net, input_dim=m)
     for _ in range(5):
         x, u = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, m)
-        A, B = dyn.linearize(model, x, u if m else None)
+        _, A, B = dyn.linearize(model, x, u if m else None)
         ref = np.array(decimal_jacobian(layers, np.concatenate([x, u])))
         assert A.shape == (n, n) and B.shape == (n, m)
         err = np.max(np.abs(np.hstack([A, B]) - ref))
@@ -168,7 +198,7 @@ def test_linearize_network_across_relu_kink_is_exact():
             nn.Layer([[1.0, 1.0]], [0.0], "identity"),
         )
     )
-    A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [3e-6], [0.0])
+    _, A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [3e-6], [0.0])
     assert A.tolist() == [[2.0]] and B.tolist() == [[-1.0]]
 
 
@@ -176,7 +206,7 @@ def test_linearize_identity_network_returns_weights_bit_exactly():
     rng = np.random.default_rng(3)
     A0, B0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
     net = nn.Mlp((nn.Layer(np.hstack([A0, B0]), rng.normal(size=3), "identity"),))
-    A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=2), rng.normal(size=3), rng.normal(size=2))
+    _, A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=2), rng.normal(size=3), rng.normal(size=2))
     np.testing.assert_array_equal(A, A0)
     np.testing.assert_array_equal(B, B0)
 
@@ -192,7 +222,7 @@ def test_linearize_network_saturated_units_warn_nothing(act):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [1.0], [0.5])
+        _, A, B = dyn.linearize(dyn.NetworkMap(net, input_dim=1), [1.0], [0.5])
     assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
     assert B.tolist() == [[0.0]]
 

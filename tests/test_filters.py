@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from certikit import dyn, filters, geom, nn, qp
-from certikit.errors import CertikitError, InfeasibleFilter, SqpNoConverge
+from certikit.errors import DimensionMismatch, InfeasibleFilter, SqpNoConverge
 
 
 def integrator():
@@ -332,24 +332,49 @@ def test_psf_qp_encodes_rollout_and_sets(box, terminal, soft):
 
 def test_psf_learned_model_persistent_push_fails_typed():
     # the learned model under the exact-model episode's persistent push, 20
-    # episodes of 20 ticks: the SQP gives up (SqpNoConverge) in some, and
-    # every episode either completes or ends in a typed error, after ticks
-    # that all keep the state inside the state set
+    # episodes of 20 ticks: every episode either completes or ends in
+    # InfeasibleFilter, after ticks that all keep the state inside the state
+    # set. 174 ticks complete; the bound is the 127 that completed when the
+    # SQP's steps were clipped to a trust box and it gave up (SqpNoConverge)
     _, model, cfg = _double_integrator_models()
     psf = filters.PredictiveSafetyFilter(model, cfg)
-    ends = []
+    ticks = 0
     for ep in range(20):
         rng = np.random.default_rng([1, ep])
         x = rng.uniform([-0.5, -0.3], [0.5, 0.3])
         push = rng.choice([-1.0, 1.0])
-        end = None
         for u_nom in [push * rng.uniform(0.5, 1.5, size=1) for _ in range(20)]:
             try:
                 u, _ = psf.filter(x, u_nom)
-            except CertikitError as e:
-                end = type(e)
+            except InfeasibleFilter:
                 break
+            ticks += 1
             x = dyn.step(model, x, u)
             assert np.all(np.abs(x) <= 1.0 + 1e-6)
-        ends.append(end)
-    assert SqpNoConverge in ends
+    assert ticks >= 127
+
+
+def test_psf_sqp_no_converge_raises_typed():
+    # one pass cannot converge on a tick whose plan must move: from rest the
+    # first input passes u_nom = 1 through, but the terminal set (v = 0)
+    # turns the nominal plan's later inputs into a brake
+    _, model, cfg = _double_integrator_models()
+    psf = filters.PredictiveSafetyFilter(model, cfg)
+    u, diag = psf.filter([0.0, 0.0], [1.0])
+    assert u[0] == pytest.approx(1.0, abs=1e-12) and diag["sqp_iterations"] >= 2
+    psf.SQP_MAX = 1
+    with pytest.raises(SqpNoConverge):
+        psf.filter([0.0, 0.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "x, u_nom",
+    [([0.1, 0.0], [0.2, 0.2]), ([0.1, 0.0, 0.0], [0.2]), ([0.1], [0.2]), ([0.1, 0.0], [])],
+    ids=["u_nom_too_long", "x_too_long", "x_too_short", "u_nom_empty"],
+)
+def test_psf_rejects_wrong_dims(x, u_nom):
+    # a 2-state, 1-input model, exact and learned
+    exact, learned, cfg = _double_integrator_models()
+    for model in (exact, learned):
+        with pytest.raises(DimensionMismatch):
+            filters.PredictiveSafetyFilter(model, cfg).filter(x, u_nom)
