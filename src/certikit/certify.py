@@ -237,11 +237,10 @@ def _w_and_grad(W, x):
     if isinstance(W, AnalyticField):
         return float(W.value(x)), np.asarray(W.grad(x), dtype=float)
     if isinstance(W, nn.Mlp):
-        w_eval = lambda z: nn.forward(W, z)[0]
-    else:
-        w_eval = lambda z: float(W(z))
-    w = float(w_eval(x))
-    return w, dyn.central_difference(w_eval, x, 1e-5)
+        w, J = nn._value_and_jacobian(W, x)
+        return float(w[0]), J[0]
+    w_eval = lambda z: float(W(z))
+    return w_eval(x), dyn.central_difference(w_eval, x, 1e-5)
 
 
 def zubov_residual(spec: ZubovSpec, samples) -> dict:

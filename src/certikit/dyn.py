@@ -1,11 +1,12 @@
 """Dynamics model representations, simulation, closed-loop composition, and
 linearization (the map's value with its Jacobians: exact for the linear,
-polynomial, Koopman and network maps; central differences for composed and
-ODE maps).
+polynomial and network maps; central differences for composed and ODE maps).
 
-The model library is deliberately closed (linear, polynomial, ReLU-network,
-Koopman-latent maps; linear/polynomial/PHS/bicycle ODEs) so downstream
-verifiers can pattern-match on structure.
+The model library is deliberately closed (linear, polynomial and network
+maps; linear/polynomial/PHS/bicycle ODEs) so downstream verifiers can
+pattern-match on structure. A Koopman operator K is the autonomous
+LinearMap(K); a state-feedback policy is a plain value: None (u = 0), an
+m x n gain K (u = K x) or an nn.Mlp (u = net(x)).
 """
 
 import csv
@@ -20,7 +21,6 @@ __all__ = [
     "LinearMap",
     "PolynomialMap",
     "NetworkMap",
-    "KoopmanLatentMap",
     "ComposedMap",
     "ControlAffineODE",
     "PhsSystem",
@@ -108,28 +108,11 @@ class NetworkMap:
 
 
 @dataclass(frozen=True)
-class KoopmanLatentMap:
-    K: np.ndarray
-
-    def __post_init__(self):
-        K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        if K.shape[0] != K.shape[1]:
-            raise DimensionMismatch("K must be square")
-        object.__setattr__(self, "K", K)
-
-    @property
-    def state_dim(self):
-        return self.K.shape[0]
-
-    input_dim = 0
-
-
-@dataclass(frozen=True)
 class ComposedMap:
     """Autonomous map x -> f(x, pi(x)) from a model and a policy."""
 
     model: object
-    policy: object  # ZeroPolicy | LinearPolicy | NetworkPolicy
+    policy: object  # None | input_dim x state_dim gain | nn.Mlp
 
     @property
     def state_dim(self):
@@ -138,31 +121,13 @@ class ComposedMap:
     input_dim = 0
 
 
-@dataclass(frozen=True)
-class ZeroPolicy:
-    dim: int
-
-    def __call__(self, x):
-        return np.zeros(self.dim)
-
-
-@dataclass(frozen=True)
-class LinearPolicy:
-    K: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", np.atleast_2d(np.asarray(self.K, dtype=float)))
-
-    def __call__(self, x):
-        return self.K @ x
-
-
-@dataclass(frozen=True)
-class NetworkPolicy:
-    net: nn.Mlp
-
-    def __call__(self, x):
-        return nn.forward(self.net, x)
+def _policy_input(cl: ComposedMap, x):
+    """The input u = pi(x) that the closed loop's policy gives at state x."""
+    if cl.policy is None:
+        return np.zeros(cl.model.input_dim)
+    if isinstance(cl.policy, nn.Mlp):
+        return nn.forward(cl.policy, x)
+    return cl.policy @ x
 
 
 def _point(model, x, u):
@@ -192,13 +157,11 @@ def step(model, x, u=None):
             out = out + model.B @ u
     elif isinstance(model, PolynomialMap):
         out = model.linear @ x + np.einsum("ijk,j,k->i", model.quadratic, x, x)
-    elif isinstance(model, KoopmanLatentMap):
-        out = model.K @ x
     elif isinstance(model, NetworkMap):
         z = x if m == 0 else np.concatenate([x, u])
         out = nn.forward(model.net, z)
     elif isinstance(model, ComposedMap):
-        out = step(model.model, x, model.policy(x))
+        out = step(model.model, x, _policy_input(model, x))
     elif isinstance(model, _OdeMapAdapter):
         out = simulate_ode(model.ode, x, [u], model.dt).states[-1]
     else:
@@ -414,20 +377,22 @@ def simulate_ode(sys, x0, u_seq, dt) -> Trajectory:
 def closed_loop(model, policy, dt=None):
     """Compose a model with a state-feedback policy into an autonomous map.
 
-    ODE models are discretized by one RK4 step of length dt per map step.
+    The policy is None (u = 0), an input_dim x state_dim gain K (u = K x) or
+    an nn.Mlp (u = net(x)); a wrong shape raises DimensionMismatch and any
+    other object UnsupportedModel. A LinearMap closed with None or a gain is
+    the LinearMap(A + B K); other pairs give a ComposedMap. ODE models are
+    discretized by one RK4 step of length dt per map step.
     """
     if isinstance(model, ControlAffineODE):
         if dt is None:
             raise ValueError("closed_loop over an ODE needs dt")
-        policy = _coerce_policy(policy, model.state_dim, model.input_dim)
-        return ComposedMap(_OdeMapAdapter(model, dt), policy)
-
+        model = _OdeMapAdapter(model, dt)
     policy = _coerce_policy(policy, model.state_dim, model.input_dim)
-    if isinstance(model, LinearMap) and isinstance(policy, ZeroPolicy):
+    if isinstance(model, LinearMap) and policy is None:
         return LinearMap(model.A)
-    if isinstance(model, LinearMap) and isinstance(policy, LinearPolicy):
-        B = model.B if model.B is not None else np.zeros((model.state_dim, policy.K.shape[0]))
-        return LinearMap(model.A + B @ policy.K)
+    if isinstance(model, LinearMap) and not isinstance(policy, nn.Mlp):
+        B = model.B if model.B is not None else np.zeros((model.state_dim, policy.shape[0]))
+        return LinearMap(model.A + B @ policy)
     return ComposedMap(model, policy)
 
 
@@ -446,21 +411,20 @@ class _OdeMapAdapter:
 
 
 def _coerce_policy(policy, state_dim, input_dim):
-    if isinstance(policy, (ZeroPolicy, LinearPolicy, NetworkPolicy)):
-        p = policy
-    elif isinstance(policy, nn.Mlp):
-        p = NetworkPolicy(policy)
-    elif policy is None:
-        p = ZeroPolicy(input_dim)
-    else:
-        raise UnsupportedModel("policy must be ZeroPolicy, LinearPolicy, or a network")
-    if isinstance(p, LinearPolicy):
-        if p.K.shape != (input_dim, state_dim):
-            raise DimensionMismatch("policy gain must be input_dim x state_dim")
-    elif isinstance(p, NetworkPolicy):
-        if p.net.in_dim != state_dim or p.net.out_dim != input_dim:
+    """The policy as None, a float gain matrix or an nn.Mlp, checked against
+    the model's dimensions (see `closed_loop`)."""
+    if policy is None:
+        return None
+    if isinstance(policy, nn.Mlp):
+        if policy.in_dim != state_dim or policy.out_dim != input_dim:
             raise DimensionMismatch("policy network dims must match model")
-    return p
+        return policy
+    if not isinstance(policy, (np.ndarray, list, tuple)):
+        raise UnsupportedModel("policy must be None, a gain matrix, or a network")
+    K = np.atleast_2d(np.asarray(policy, dtype=float))
+    if K.shape != (input_dim, state_dim):
+        raise DimensionMismatch("policy gain must be input_dim x state_dim")
+    return K
 
 
 def central_difference(f, x, h):
@@ -481,10 +445,10 @@ def central_difference(f, x, h):
 def linearize(model, x, u=None):
     """The value f(x, u) of a discrete map with its Jacobians (A, B), checked
     against the model's dimensions. Exact for LinearMap, PolynomialMap
-    (A = L + 2 sum_k Q[:, :, k] x_k), KoopmanLatentMap and NetworkMap (value
-    and Jacobian from one forward pass, `nn.jacobian`); central differences
-    with step 1e-5 (1 + max|x|) for composed and ODE maps. A non-finite value
-    raises NonFiniteState, as in `step`."""
+    (A = L + 2 sum_k Q[:, :, k] x_k) and NetworkMap (value and Jacobian from
+    one forward pass, `nn.jacobian`); central differences with step
+    1e-5 (1 + max|x|) for composed and ODE maps. A non-finite value raises
+    NonFiniteState, as in `step`."""
     x, u = _point(model, x, u)
     no_input = np.empty((x.size, 0))
     if isinstance(model, NetworkMap):
@@ -498,8 +462,6 @@ def linearize(model, x, u=None):
             A, B = model.A.copy(), no_input if model.B is None else model.B.copy()
         elif isinstance(model, PolynomialMap):
             A, B = model.linear + 2.0 * (model.quadratic @ x), no_input
-        elif isinstance(model, KoopmanLatentMap):
-            A, B = model.K.copy(), no_input
         else:
             h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
             A = central_difference(lambda xi: step(model, xi, u), x, h)
@@ -521,8 +483,6 @@ def model_to_dict(model) -> dict:
         }
     if isinstance(model, PolynomialMap):
         return {"kind": "polynomial", "linear": model.linear.tolist(), "quadratic": model.quadratic.tolist()}
-    if isinstance(model, KoopmanLatentMap):
-        return {"kind": "koopman", "K": model.K.tolist()}
     if isinstance(model, NetworkMap):
         return {"kind": "network", "net": nn.network_to_dict(model.net), "input_dim": model.input_dim}
     raise UnsupportedModel(f"cannot serialize {type(model).__name__}")
@@ -534,8 +494,8 @@ def model_from_dict(d: dict):
         return LinearMap(d["A"], d.get("B"))
     if kind == "polynomial":
         return PolynomialMap(d["linear"], d["quadratic"])
-    if kind == "koopman":
-        return KoopmanLatentMap(d["K"])
+    if kind == "koopman":  # files written when Koopman operators had their own type
+        return LinearMap(d["K"])
     if kind == "network":
         return NetworkMap(nn.network_from_dict(d["net"]), d.get("input_dim", 0))
     raise UnsupportedModel(f"unknown model kind {kind!r}")

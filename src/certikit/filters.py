@@ -85,7 +85,7 @@ class ClfSpec:
     """Lyapunov function with sandwich bounds c1||x||^2 <= V <= c2||x||^2."""
 
     V: object  # callable x -> float, or LyapunovCandidate
-    grad_V: object  # callable x -> vector (None for LyapunovCandidate: fd)
+    grad_V: object  # callable x -> vector, or None: exact for a candidate, else fd
     kappa_v: float = 1.0
     c1: float = 0.0
     c2: float = np.inf
@@ -104,6 +104,8 @@ class ClfSpec:
     def gradient(self, x):
         if self.grad_V is not None:
             return np.asarray(self.grad_V(x), dtype=float).ravel()
+        if isinstance(self.V, nn.LyapunovCandidate):
+            return nn.jacobian(self.V, x)[0]
         return dyn.central_difference(self.value, np.asarray(x, dtype=float).ravel(), 1e-6)
 
 
@@ -173,7 +175,9 @@ class CbfFilter:
                 "CBF constraint incompatible with input box at this state",
                 certificate=sol.certificate,
             )
-        return sol.z
+        # qp.solve's KKT acceptance can leave the answer a few ulps outside
+        # the input box, which holds the exact optimum
+        return sol.z.clip(self.u_box.lower, self.u_box.upper, out=sol.z)
 
 
 def clf_check(sys: dyn.ControlAffineODE, x, clf: ClfSpec, u_box: geom.Box) -> dict:
@@ -297,7 +301,7 @@ class PredictiveSafetyFilter:
         if isinstance(model, dyn.LinearMap):
             B = model.B if model.B is not None else np.zeros((n, m))
             sol = self._solve([model.A] * N, [B] * N, [np.zeros(n)] * N, x, u_nom)
-            return sol.z[:m], self._diagnostics(sol, sqp_iters=0)
+            return self._in_box(sol.z[:m]), self._diagnostics(sol, sqp_iters=0)
         # full-step successive linearization, from the clipped nominal plan;
         # each stage's value is the next stage's linearization point
         u_plan = np.tile(np.clip(u_nom, cfg.input_set.lower, cfg.input_set.upper), (N, 1))
@@ -320,7 +324,12 @@ class PredictiveSafetyFilter:
                 raise SqpNoConverge(f"SQP step still {step_sz:.3g} after {self.SQP_MAX} iterations")
         diags = self._diagnostics(sol, sqp_iters=it + 1)
         diags["approximation"] = "successive_linearization"
-        return u_plan[0], diags
+        return self._in_box(u_plan[0]), diags
+
+    def _in_box(self, u):
+        """u clipped in place into the input set: qp.solve's KKT acceptance can
+        leave a QP answer a few ulps outside it, and the exact optimum is in it."""
+        return u.clip(self.cfg.input_set.lower, self.cfg.input_set.upper, out=u)
 
     def _solve(self, As, Bs, cs, x0, u_nom):
         sol = qp.solve(self._build_qp(As, Bs, cs, x0, u_nom))

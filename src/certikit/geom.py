@@ -30,6 +30,9 @@ __all__ = [
     "sample_region",
 ]
 
+CONTAINS_TOL = 1e-9  # contains: slack of each membership test (relative for HPolytope and PointSet)
+
+
 @dataclass(frozen=True)
 class Box:
     lower: np.ndarray
@@ -160,20 +163,20 @@ def hull_distance(points: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(pts.T @ (mu / mu.sum()) - x))
 
 
-def contains(region, x, tol=1e-9) -> bool:
+def contains(region, x) -> bool:
     x = _check_dim(region, x)
     if isinstance(region, Box):
-        return bool(np.all(x >= region.lower - tol) and np.all(x <= region.upper + tol))
+        return bool(np.all(x >= region.lower - CONTAINS_TOL) and np.all(x <= region.upper + CONTAINS_TOL))
     if isinstance(region, OrientedBox):
         proj = region.axes.T @ (x - region.center)
-        return bool(np.all(np.abs(proj) <= region.half_widths + tol))
+        return bool(np.all(np.abs(proj) <= region.half_widths + CONTAINS_TOL))
     if isinstance(region, HPolytope):
-        return bool(np.all(region.A @ x <= region.b + tol * (1 + np.abs(region.b))))
+        return bool(np.all(region.A @ x <= region.b + CONTAINS_TOL * (1 + np.abs(region.b))))
     if isinstance(region, BallUnion):
         d2 = np.sum((region.centers.points - x) ** 2, axis=1)
-        return bool(np.min(d2) <= (region.radius + tol) ** 2)
+        return bool(np.min(d2) <= (region.radius + CONTAINS_TOL) ** 2)
     if isinstance(region, PointSet):
-        return hull_distance(region.points, x) <= tol * (1.0 + np.linalg.norm(x))
+        return hull_distance(region.points, x) <= CONTAINS_TOL * (1.0 + np.linalg.norm(x))
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 

@@ -380,15 +380,6 @@ def _branch_and_bound(net, model, lp, tol, node_budget) -> VerifyOutcome:
     return VerifyOutcome(status, float(bound), incumbent_x, nodes, gap)
 
 
-def negate_mlp(net: nn.Mlp) -> nn.Mlp:
-    last = net.layers[-1]
-    if last.activation == "identity":
-        layers = net.layers[:-1] + (nn.Layer(-last.W, -last.b, "identity"),)
-    else:
-        layers = net.layers + (nn.Layer(-np.eye(net.out_dim), np.zeros(net.out_dim), "identity"),)
-    return nn.Mlp(layers)
-
-
 def _cover_boxes(region: geom.Box, exclude: geom.Box):
     """Axis slabs, clipped to the region, covering the region minus the
     excluded box's interior (up to 2n boxes)."""
@@ -411,7 +402,7 @@ def verify_positivity(f_net: nn.Mlp, region: geom.Box, exclude=None, tol=1e-6, n
     """Certify min_{x in region \\ exclude} f(x) >= 0 or produce a violation."""
     if f_net.out_dim != 1:
         raise ValueError("verify_positivity needs a scalar-output network")
-    neg = negate_mlp(f_net)
+    neg = nn.compose(nn.Mlp((nn.Layer([[-1.0]], [0.0], "identity"),)), f_net)
     boxes = _cover_boxes(region, exclude) if exclude is not None else [region]
     if not boxes:
         raise ValueError("exclude covers the whole region")
@@ -444,23 +435,9 @@ def decrease_mlp(v_net: nn.Mlp, A: np.ndarray) -> nn.Mlp:
     n = v_net.in_dim
     if A.shape != (n, n):
         raise UnsupportedModel("dynamics must be a square matrix on the V domain")
-    # blockwise: x -> [V-branch(x); V-branch(Ax)], then subtract the scalars
-    first = v_net.layers[0]
-    blocks = []
-    W0 = np.vstack([first.W, first.W @ A])
-    b0 = np.concatenate([first.b, first.b])
-    blocks.append(nn.Layer(W0, b0, first.activation))
-    for layer in v_net.layers[1:]:
-        W = np.block(
-            [
-                [layer.W, np.zeros_like(layer.W)],
-                [np.zeros_like(layer.W), layer.W],
-            ]
-        )
-        b = np.concatenate([layer.b, layer.b])
-        blocks.append(nn.Layer(W, b, layer.activation))
-    blocks.append(nn.Layer(np.array([[1.0, -1.0]]), np.zeros(1), "identity"))
-    return nn.Mlp(tuple(blocks))
+    linear = nn.Mlp((nn.Layer(A, np.zeros(n), "identity"),))
+    difference = nn.Mlp((nn.Layer([[1.0, -1.0]], [0.0], "identity"),))
+    return nn.compose(difference, nn.stack(v_net, nn.compose(v_net, linear)))
 
 
 def export_lp_text(model: MilpModel) -> str:

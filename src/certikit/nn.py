@@ -18,6 +18,8 @@ __all__ = [
     "Mlp",
     "Icnn",
     "LyapunovCandidate",
+    "compose",
+    "stack",
     "forward",
     "jacobian",
     "lyapunov_eval",
@@ -168,6 +170,44 @@ class LyapunovCandidate:
         return self.core.in_dim
 
 
+def compose(outer: Mlp, inner: Mlp) -> Mlp:
+    """The network x -> outer(inner(x)). An identity last layer of inner is
+    fused into outer's first layer as (W_o W_i, W_o b_i + b_o), so composing
+    adds no affine layer (and a MILP encoding no variables)."""
+    if not (isinstance(outer, Mlp) and isinstance(inner, Mlp)):
+        raise UnsupportedModel("compose needs two Mlp networks")
+    if outer.in_dim != inner.out_dim:
+        raise DimensionMismatch(f"outer takes {outer.in_dim} inputs, inner gives {inner.out_dim}")
+    last, first = inner.layers[-1], outer.layers[0]
+    if last.activation != "identity":
+        return Mlp(inner.layers + outer.layers)
+    fused = Layer(first.W @ last.W, first.W @ last.b + first.b, first.activation)
+    return Mlp(inner.layers[:-1] + (fused,) + outer.layers[1:])
+
+
+def stack(*nets: Mlp) -> Mlp:
+    """The network x -> [f_1(x); f_2(x); ...] for Mlps of one input dimension,
+    depth and per-layer activations: the first layer stacks their weights, the
+    later ones are block-diagonal."""
+    if not nets or not all(isinstance(net, Mlp) for net in nets):
+        raise UnsupportedModel("stack needs Mlp networks")
+    if len({net.in_dim for net in nets}) != 1:
+        raise DimensionMismatch("stacked networks must share their input dimension")
+    acts = [layer.activation for layer in nets[0].layers]
+    if any([layer.activation for layer in net.layers] != acts for net in nets):
+        raise UnsupportedModel("stacked networks must have the same depth and activations")
+    # imported here, not at the top: importing scipy.linalg ahead of
+    # scipy.special made importing certikit about 30 ms slower
+    from scipy.linalg import block_diag
+
+    layers = []
+    for k, act in enumerate(acts):
+        Ws = [net.layers[k].W for net in nets]
+        b = np.concatenate([net.layers[k].b for net in nets])
+        layers.append(Layer(np.vstack(Ws) if k == 0 else block_diag(*Ws), b, act))
+    return Mlp(tuple(layers))
+
+
 def forward(net, x):
     """Exact evaluation; accepts a vector or an (N, dim) batch."""
     x = np.asarray(x, dtype=float)
@@ -189,13 +229,21 @@ def forward(net, x):
 
 
 def jacobian(net, x):
-    """Exact Jacobian of an Mlp or Icnn at one point x, shape (out_dim, in_dim).
+    """Exact Jacobian of an Mlp, Icnn or LyapunovCandidate at one point x,
+    shape (out_dim, in_dim); (1, in_dim) for a candidate.
 
     One forward pass carries J <- diag(act'(z_k)) W_k J layer by layer
     (forward-mode differentiation; an Icnn layer carries
     J_k = diag(act'(z_k)) (U_k J_{k-1} + W_k)). Preactivations are formed as in
-    `forward`, and relu's slope at an exact kink is 0 (see `_slope`).
+    `forward`, and relu's slope at an exact kink is 0 (see `_slope`). A
+    candidate's gradient is sigma'(g(x) - g(0)) grad g(x) + 2 eps_quad x', with
+    grad g from its core's pass.
     """
+    if isinstance(net, LyapunovCandidate):
+        g, Jg = _value_and_jacobian(net.core, x)
+        s = g - forward(net.core, np.zeros(net.in_dim))
+        x = np.asarray(x, dtype=float).ravel()
+        return _slope(net.outer, s, _act(net.outer, s)) * Jg + 2.0 * net.eps_quad * x
     return _value_and_jacobian(net, x)[1]
 
 

@@ -113,9 +113,8 @@ def _net_layers(net: nn.Mlp):
 def propagate_interval(model, x0: geom.Box, steps: int) -> ReachResult:
     """Sound per-step boxes: exact interval images for linear maps, interval
     bound propagation for ReLU networks."""
-    if isinstance(model, (dyn.LinearMap, dyn.KoopmanLatentMap)):
-        A = model.A if isinstance(model, dyn.LinearMap) else model.K
-        layers = [(A, None, "identity")]
+    if isinstance(model, dyn.LinearMap):
+        layers = [(model.A, None, "identity")]
     elif isinstance(model, dyn.NetworkMap):
         layers = _net_layers(model.net)
     else:

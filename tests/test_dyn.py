@@ -7,7 +7,7 @@ import pytest
 from helpers_oracles import decimal_jacobian
 
 from certikit import dyn, nn
-from certikit.errors import DimensionMismatch, NonFiniteState
+from certikit.errors import DimensionMismatch, NonFiniteState, UnsupportedModel
 
 
 def test_linear_map_step():
@@ -41,7 +41,7 @@ def test_network_map_step():
 
 
 def test_simulate_map_rollout():
-    m = dyn.KoopmanLatentMap(0.5 * np.eye(1))
+    m = dyn.LinearMap(0.5 * np.eye(1))
     traj = dyn.simulate_map(m, [8.0], 3)
     np.testing.assert_allclose(traj.ravel(), [8.0, 4.0, 2.0, 1.0])
 
@@ -98,11 +98,30 @@ def test_closed_loop_linear_gain_is_exact():
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.0], [0.1]])
     K = np.array([[-10.0, -5.0]])
-    cl = dyn.closed_loop(dyn.LinearMap(A, B), dyn.LinearPolicy(K))
+    cl = dyn.closed_loop(dyn.LinearMap(A, B), K)
     assert isinstance(cl, dyn.LinearMap)
-    np.testing.assert_allclose(cl.A, A + B @ K)
+    assert np.array_equal(cl.A, A + B @ K)
     x = np.array([0.5, -0.2])
     np.testing.assert_allclose(dyn.step(cl, x), A @ x + B @ (K @ x))
+
+
+def test_closed_loop_network_policy_and_rejected_policies():
+    rng = np.random.default_rng(9)
+    model = dyn.LinearMap(rng.normal(size=(2, 2)), rng.normal(size=(2, 1)))
+    net = nn.Mlp(
+        (nn.Layer(rng.normal(size=(4, 2)), rng.normal(size=4)), nn.Layer(rng.normal(size=(1, 4)), [0.1], "identity"))
+    )
+    cl = dyn.closed_loop(model, net)
+    assert isinstance(cl, dyn.ComposedMap) and cl.input_dim == 0
+    for x in rng.normal(size=(10, 2)):
+        assert np.array_equal(dyn.step(cl, x), dyn.step(model, x, nn.forward(net, x)))
+    with pytest.raises(DimensionMismatch):
+        dyn.closed_loop(model, np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        dyn.closed_loop(model, nn.Mlp((nn.Layer(np.ones((1, 3)), [0.0]),)))
+    for other in (lambda x: -x, "K"):
+        with pytest.raises(UnsupportedModel):
+            dyn.closed_loop(model, other)
 
 
 def test_closed_loop_ode_discretization():
@@ -151,7 +170,7 @@ def test_linearize_value_is_step_bit_for_bit():
     models = [
         dyn.LinearMap(rng.normal(size=(2, 2)), rng.normal(size=(2, 1))),
         dyn.PolynomialMap(rng.normal(size=(2, 2)), Q + np.swapaxes(Q, 1, 2)),
-        dyn.KoopmanLatentMap(K),
+        dyn.LinearMap(K),
         dyn.NetworkMap(net, input_dim=1),
         dyn.closed_loop(dyn.linear_ode(-np.eye(2), np.ones((2, 1))), None, dt=0.1),
     ]
@@ -245,7 +264,7 @@ def test_phs_structure_and_energy():
 def test_model_roundtrip_serialization():
     models = [
         dyn.LinearMap(np.eye(2), np.array([[1.0], [0.0]])),
-        dyn.KoopmanLatentMap(0.7 * np.eye(3)),
+        dyn.LinearMap(0.7 * np.eye(3)),
         dyn.NetworkMap(nn.Mlp((nn.Layer(np.eye(2), np.zeros(2), "relu"),))),
     ]
     for m in models:
@@ -254,6 +273,10 @@ def test_model_roundtrip_serialization():
         x = np.ones(m.state_dim)
         u = np.ones(m.input_dim) if m.input_dim else None
         np.testing.assert_allclose(dyn.step(m2, x, u), dyn.step(m, x, u))
+    # a Koopman operator written by an earlier version loads as its LinearMap
+    m = dyn.model_from_dict({"kind": "koopman", "K": [[0.7, 0.1], [0.0, 0.7]]})
+    assert type(m) is dyn.LinearMap and m.B is None
+    assert m.A.tolist() == [[0.7, 0.1], [0.0, 0.7]]
 
 
 def test_trajectory_csv(tmp_path):

@@ -36,6 +36,22 @@ def test_cbf_clamps_unsafe_nominal():
     assert u[0] == pytest.approx(0.1, abs=1e-7)
 
 
+def test_cbf_answer_stays_in_input_box():
+    # at x = (0, -0.5) the disk barrier caps u1 at 1.15 with u0 on its box
+    # bound -2; qp.solve's KKT acceptance puts u0 a few ulps below -2, and
+    # the filter clips it back
+    plane = dyn.linear_ode(np.zeros((2, 2)), np.eye(2))
+    bars = [
+        filters.affine_barrier([-1.0, 0.0], 1.0),
+        filters.affine_barrier([0.0, -1.0], 1.0),
+        filters.quadratic_barrier(-np.eye(2), [0.3, 0.3], -(0.3**2)),
+    ]
+    flt = filters.CbfFilter(plane, bars, geom.Box([-2.0, -2.0], [2.0, 2.0]))
+    u = flt.filter(np.array([0.0, -0.5]), np.array([-2.5, 2.5]))
+    assert u[0] == -2.0
+    assert u[1] == pytest.approx(1.15, abs=1e-12)
+
+
 def test_cbf_multiple_barriers_box_stays_invariant():
     box = geom.Box([-1.0], [1.0])
     bars = filters.box_barrier(box, kappa=1.0)
@@ -84,6 +100,19 @@ def test_clf_gradient_finite_difference_without_grad():
     clf = filters.ClfSpec(lambda x: float(x @ x), None)
     x = np.array([0.5, -1.5, 2.0])
     np.testing.assert_allclose(clf.gradient(x), 2.0 * x, rtol=0, atol=1e-8)
+
+
+def test_clf_gradient_of_lyapunov_candidate_is_exact():
+    core = nn.Icnn(
+        W=(np.eye(2), np.array([[0.5, 0.5]])),
+        U=(np.array([[1.0, 0.3]]),),
+        b=(np.zeros(2), np.zeros(1)),
+        activations=("softplus", "softplus"),
+    )
+    clf = filters.ClfSpec(nn.LyapunovCandidate(core, eps_quad=0.05), None)
+    x = np.array([0.4, -1.1])
+    assert np.array_equal(clf.gradient(x), nn.jacobian(clf.V, x)[0])
+    np.testing.assert_allclose(clf.gradient(x), dyn.central_difference(clf.value, x, 1e-6), atol=1e-8)
 
 
 def test_clf_check_reports_failure():
@@ -220,6 +249,16 @@ def test_psf_zero_nominal_input(learned, u_nom):
     assert abs(u[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("learned", [False, True], ids=["exact", "learned"])
+@pytest.mark.parametrize("u_nom", [1.0, 1.5, -1.0])
+def test_psf_answer_stays_in_input_box(learned, u_nom):
+    # from rest the input bound u0 = +-1 binds; qp.solve's KKT acceptance
+    # puts the QP's answer a few ulps outside it, and the filter clips it back
+    exact, network, cfg = _double_integrator_models()
+    u, _ = filters.PredictiveSafetyFilter(network if learned else exact, cfg).filter([0.0, 0.0], [u_nom])
+    assert u[0] == np.sign(u_nom)
+
+
 def test_psf_double_integrator_qp_is_kkt_exact():
     # the N = 10 double integrator of the filter-loop benchmark, pushed
     # towards the wall p = 1 for 20 ticks by one filter
@@ -240,7 +279,8 @@ def test_psf_double_integrator_qp_is_kkt_exact():
         prob = flt._build_qp(*plan)
         sol = qp.solve(prob)
         assert sol.status == "Optimal"
-        assert np.array_equal(flt.filter(x, np.array([1.2]))[0], sol.z[:1])
+        # the filter answers the same QP, clipped into the input box
+        assert np.array_equal(flt.filter(x, np.array([1.2]))[0], np.clip(sol.z[:1], -1.0, 1.0))
         Az = prob.A @ sol.z
         assert max(np.max(prob.l - Az), np.max(Az - prob.u)) <= 1e-12
         assert np.max(np.abs(prob.P @ sol.z + prob.q + prob.A.T @ sol.dual)) <= 1e-12

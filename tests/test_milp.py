@@ -599,6 +599,7 @@ def test_decrease_net_computes_difference():
     )
     A = np.array([[0.5, 0.1], [0.0, 0.5]])
     dnet = milp.decrease_mlp(v, A)
+    assert len(dnet.layers) == len(v.layers)  # the difference is fused into V's last layer
     for x in rng.normal(size=(20, 2)):
         expected = float(nn.forward(v, x)[0]) - float(nn.forward(v, A @ x)[0])
         assert float(nn.forward(dnet, x)[0]) == pytest.approx(expected, abs=1e-9)

@@ -99,9 +99,89 @@ def test_icnn_jacobian_closed_form():
 
 def test_jacobian_rejects_other_networks_and_wrong_dims():
     with pytest.raises(UnsupportedModel):
-        nn.jacobian(nn.LyapunovCandidate(make_icnn(), eps_quad=1e-3), np.zeros(2))
+        nn.jacobian(lambda x: x, np.zeros(2))
     with pytest.raises(DimensionMismatch):
         nn.jacobian(small_mlp(), np.zeros(3))
+
+
+def test_lyapunov_candidate_jacobian_closed_form():
+    # V = softplus(g(x) - g(0)) - softplus(0) + eps |x|^2 with g the ICNN above,
+    # so grad V = sig(g(x) - g(0)) grad g(x) + 2 eps x, sig = softplus'
+    V = nn.LyapunovCandidate(make_icnn(), eps_quad=0.05)
+    U = V.core.U[0][0]
+    sig = lambda t: 1.0 / (1.0 + np.exp(-t))
+    pre = lambda x: U @ np.logaddexp(0.0, x) + 0.5 * x.sum()
+    for x in ([0.3, -1.2], [2.0, 0.5], [-3.0, -0.1]):
+        x = np.array(x)
+        grad_g = sig(pre(x)) * (U * sig(x) + 0.5)
+        s = np.logaddexp(0.0, pre(x)) - np.logaddexp(0.0, pre(np.zeros(2)))
+        np.testing.assert_allclose(nn.jacobian(V, x), [sig(s) * grad_g + 0.1 * x], rtol=1e-14)
+
+
+def _random_mlp(rng, dims, acts):
+    return nn.Mlp(
+        tuple(nn.Layer(rng.normal(size=(o, i)), rng.normal(size=o), a) for i, o, a in zip(dims, dims[1:], acts))
+    )
+
+
+def _rounding_room(first, second, Z, k):
+    """Room for two evaluation orders of the same two affine layers on rows Z:
+    each result is within (k + 2) eps of the sum of its absolute terms,
+    sum |W_2| (|W_1| |z| + |b_1|) + |b_2|, where k is the two dot products'
+    summed length (a standard dot-product rounding bound), so they differ by
+    at most twice that; 4 (k + 2) eps leaves a factor of two over it. A relu
+    applied to both is 1-Lipschitz and keeps the bound."""
+    terms = (np.abs(Z) @ np.abs(first.W).T + np.abs(first.b)) @ np.abs(second.W).T + np.abs(second.b)
+    return 4 * (k + 2) * np.finfo(float).eps * terms
+
+
+def test_compose_is_sequential_evaluation():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 4))
+    f = _random_mlp(rng, [3, 5, 2], ["relu", "identity"])
+    # an inner net ending in relu is followed by the outer net's layers as they are
+    g = _random_mlp(rng, [4, 6, 3], ["sigmoid", "relu"])
+    fg = nn.compose(f, g)
+    assert len(fg.layers) == 4
+    assert np.array_equal(nn.forward(fg, X), nn.forward(f, nn.forward(g, X)))
+    # an identity last layer is fused into the outer net's first layer, which
+    # sums the same terms in another order
+    g = _random_mlp(rng, [4, 6, 3], ["sigmoid", "identity"])
+    f = _random_mlp(rng, [3, 5], ["relu"])
+    fg = nn.compose(f, g)
+    assert len(fg.layers) == 2
+    z = nn.forward(nn.Mlp(g.layers[:1]), X)
+    err = np.abs(nn.forward(fg, X) - nn.forward(f, nn.forward(g, X)))
+    assert np.all(err <= _rounding_room(g.layers[1], f.layers[0], z, 6 + 3))
+
+
+def test_stack_is_concatenated_evaluation():
+    # the stacked net sums the same terms with zeros between them, which BLAS
+    # may group differently from the separate products, so it agrees with
+    # the concatenated outputs within the rounding room of its own two layers
+    rng = np.random.default_rng(4)
+    nets = [_random_mlp(rng, [3, h, o], ["relu", "identity"]) for h, o in ((5, 1), (4, 2), (7, 1))]
+    s = nn.stack(*nets)
+    assert s.in_dim == 3 and s.out_dim == 4 and len(s.layers) == 2
+    X = rng.normal(size=(200, 3))
+    err = np.abs(nn.forward(s, X) - np.hstack([nn.forward(net, X) for net in nets]))
+    assert np.all(err <= _rounding_room(*s.layers, X, 3 + 16))
+
+
+def test_compose_and_stack_reject_mismatches():
+    f = small_mlp()  # 2 -> 1, relu then identity
+    with pytest.raises(DimensionMismatch):
+        nn.compose(f, f)
+    with pytest.raises(UnsupportedModel):
+        nn.compose(f, make_icnn())
+    with pytest.raises(DimensionMismatch):
+        nn.stack(f, nn.Mlp((nn.Layer(np.ones((2, 3)), np.zeros(2), "relu"), f.layers[1])))
+    with pytest.raises(UnsupportedModel):  # depth
+        nn.stack(f, nn.Mlp(f.layers[:1] + (nn.Layer(np.eye(2), np.zeros(2), "relu"),) + f.layers[1:]))
+    with pytest.raises(UnsupportedModel):  # activation
+        nn.stack(f, nn.Mlp((nn.Layer(f.layers[0].W, f.layers[0].b, "sigmoid"), f.layers[1])))
+    with pytest.raises(UnsupportedModel):
+        nn.stack()
 
 
 def test_lyapunov_zero_at_origin_and_positive():
