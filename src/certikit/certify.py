@@ -1,6 +1,7 @@
 """Structural and spectral certificates: Schur stability, singular-value
 clamping, orthogonality defects, port-Hamiltonian structure and dissipation,
-conservation checks, Lyapunov decrease loss, and Zubov PDE residuals.
+conservation checks, and Zubov PDE residuals, with W and its gradient from
+`nn.value_and_gradient`.
 
 Checks never raise on a failed property; violations become report entries.
 """
@@ -21,8 +22,6 @@ __all__ = [
     "phs_checks",
     "conservation_check",
     "quadratic_energy_check",
-    "lyapunov_decrease_loss",
-    "AnalyticField",
     "ZubovSpec",
     "zubov_residual",
 ]
@@ -189,58 +188,17 @@ def quadratic_energy_check(model: dyn.PolynomialMap, samples) -> dict:
     }
 
 
-def lyapunov_decrease_loss(V, trajectories) -> float:
-    """Sum of squared hinges of V-increase over every sampled transition."""
-
-    def v_eval(X):
-        if isinstance(V, nn.LyapunovCandidate):
-            return nn.lyapunov_eval(V, X)
-        if isinstance(V, nn.Mlp):
-            return nn.forward(V, X)[:, 0]
-        return np.array([float(V(x)) for x in X])
-
-    total = 0.0
-    for traj in trajectories:
-        X = traj.states if isinstance(traj, dyn.Trajectory) else np.atleast_2d(np.asarray(traj, dtype=float))
-        if X.shape[0] < 2:
-            continue
-        vals = v_eval(X)
-        inc = np.maximum(0.0, np.diff(vals))
-        total += float(np.sum(inc**2))
-    return total
-
-
-@dataclass(frozen=True)
-class AnalyticField:
-    """Scalar field with an exact gradient, for closed-form Zubov checks."""
-
-    value: object  # callable x -> float
-    grad: object  # callable x -> vector
-
-    def __call__(self, x):
-        return float(self.value(np.asarray(x, dtype=float)))
-
-
 @dataclass(frozen=True)
 class ZubovSpec:
-    W: object  # AnalyticField | nn.Mlp
+    W: object  # callable x -> float, one-output nn.Mlp or nn.LyapunovCandidate
     dynamics: object  # callable x -> dx/dt
     psi: object = None  # positive-definite field, defaults to x'x
+    grad_W: object = None  # callable x -> vector for a callable W, else fd
 
     def psi_eval(self, x):
         if self.psi is None:
             return float(x @ x)
         return float(self.psi(x))
-
-
-def _w_and_grad(W, x):
-    if isinstance(W, AnalyticField):
-        return float(W.value(x)), np.asarray(W.grad(x), dtype=float)
-    if isinstance(W, nn.Mlp):
-        w, J = nn._value_and_jacobian(W, x)
-        return float(w[0]), J[0]
-    w_eval = lambda z: float(W(z))
-    return w_eval(x), dyn.central_difference(w_eval, x, 1e-5)
 
 
 def zubov_residual(spec: ZubovSpec, samples) -> dict:
@@ -252,12 +210,12 @@ def zubov_residual(spec: ZubovSpec, samples) -> dict:
     res = np.empty(pts.shape[0])
     range_violations = []
     for k, x in enumerate(pts):
-        w, g = _w_and_grad(spec.W, x)
+        w, g = nn.value_and_gradient(spec.W, x, spec.grad_W)
         f = np.asarray(spec.dynamics(x), dtype=float)
         res[k] = g @ f + spec.psi_eval(x) * (1.0 - w)
         if np.linalg.norm(x) > 1e-12 and not (-ZUBOV_RANGE_TOL < w < 1.0 + ZUBOV_RANGE_TOL):
             range_violations.append({"x": x.tolist(), "w": w})
-    w0, _ = _w_and_grad(spec.W, np.zeros(pts.shape[1]))
+    w0, _ = nn.value_and_gradient(spec.W, np.zeros(pts.shape[1]), spec.grad_W)
     worst = int(np.argmax(np.abs(res)))
     return {
         "check": "zubov_residual",

@@ -5,7 +5,9 @@ Class-K gains are restricted to the linear form alpha(s) = kappa * s so that
 every filter solve stays a convex QP, solved exactly by `qp.solve`. The
 predictive filter's QP is condensed (Jerez, Kerrigan & Constantinides,
 CDC-ECC 2011): the plan's inputs are its only variables. Nonlinear models
-plan by a full-step SQP, one linearization per stage and pass.
+plan by a full-step SQP, one linearization per stage and pass. A CLF's value
+and gradient, and the reference gradient that checks a barrier's, come from
+`nn.value_and_gradient`.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ __all__ = [
     "CbfFilter",
     "clf_check",
     "PredictiveSafetyFilter",
-    "predictive_safety_filter",
 ]
 
 GRADIENT_TOL = 1e-6  # BarrierSpec.validate_gradient: fd error relative to 1 + max|grad_h|
@@ -46,7 +47,7 @@ class BarrierSpec:
     def validate_gradient(self, x):
         x = np.asarray(x, dtype=float).ravel()
         g = np.asarray(self.grad_h(x), dtype=float).ravel()
-        fd = dyn.central_difference(self.h, x, 1e-6)
+        fd = nn.value_and_gradient(self.h, x)[1]
         err = np.max(np.abs(fd - g), initial=0.0)
         if err > GRADIENT_TOL * (1.0 + np.max(np.abs(g), initial=0.0)):
             raise ValueError(f"grad_h inconsistent with h (fd error {err:.3g})")
@@ -84,8 +85,8 @@ def box_barrier(box: geom.Box, kappa=1.0):
 class ClfSpec:
     """Lyapunov function with sandwich bounds c1||x||^2 <= V <= c2||x||^2."""
 
-    V: object  # callable x -> float, or LyapunovCandidate
-    grad_V: object  # callable x -> vector, or None: exact for a candidate, else fd
+    V: object  # callable x -> float, one-output nn.Mlp or nn.LyapunovCandidate
+    grad_V: object = None  # callable x -> vector for a callable V, else fd
     kappa_v: float = 1.0
     c1: float = 0.0
     c2: float = np.inf
@@ -95,18 +96,6 @@ class ClfSpec:
             raise ValueError("kappa_v must be > 0")
         if self.c1 > self.c2:
             raise ValueError("require c1 <= c2")
-
-    def value(self, x):
-        if isinstance(self.V, nn.LyapunovCandidate):
-            return float(nn.lyapunov_eval(self.V, x))
-        return float(self.V(x))
-
-    def gradient(self, x):
-        if self.grad_V is not None:
-            return np.asarray(self.grad_V(x), dtype=float).ravel()
-        if isinstance(self.V, nn.LyapunovCandidate):
-            return nn.jacobian(self.V, x)[0]
-        return dyn.central_difference(self.value, np.asarray(x, dtype=float).ravel(), 1e-6)
 
 
 def quadratic_clf(P, kappa_v=1.0) -> ClfSpec:
@@ -184,8 +173,7 @@ def clf_check(sys: dyn.ControlAffineODE, x, clf: ClfSpec, u_box: geom.Box) -> di
     """Minimize the Lie derivative over the input box and report whether the
     CLF decrease and sandwich conditions hold; violations are entries."""
     x = np.asarray(x, dtype=float).ravel()
-    v = clf.value(x)
-    gv = clf.gradient(x)
+    v, gv = nn.value_and_gradient(clf.V, x, clf.grad_V)
     f = sys.f(x)
     g = sys.g(x)
     # min over u in box of gv.(f + g u): each u_i sits at the bound against c_i
@@ -350,7 +338,3 @@ class PredictiveSafetyFilter:
             "qp_iterations": sol.iterations,
         }
 
-
-def predictive_safety_filter(model, x, u_nom, cfg: PsfConfig):
-    """One-shot N-step PSF solve; returns (u0, diagnostics)."""
-    return PredictiveSafetyFilter(model, cfg).filter(x, u_nom)

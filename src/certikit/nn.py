@@ -1,5 +1,6 @@
 """Inference and structural validation of feedforward networks, ICNNs, and
-Lyapunov candidates.
+Lyapunov candidates, and `value_and_gradient`, the one evaluator of scalar
+certificate fields (a network, a candidate or a plain callable).
 
 No training here: networks are loaded from (or saved to) a portable JSON
 weight format and evaluated exactly, layer by layer.
@@ -22,6 +23,7 @@ __all__ = [
     "stack",
     "forward",
     "jacobian",
+    "value_and_gradient",
     "lyapunov_eval",
     "check_icnn",
     "lipschitz_bound",
@@ -164,6 +166,8 @@ class LyapunovCandidate:
             raise ValueError("eps_quad must be > 0")
         if self.core.out_dim != 1:
             raise DimensionMismatch("Lyapunov core must be scalar-valued")
+        if self.outer not in _ACTIVATIONS:
+            raise UnsupportedActivation(self.outer)
 
     @property
     def in_dim(self):
@@ -229,21 +233,13 @@ def forward(net, x):
 
 
 def jacobian(net, x):
-    """Exact Jacobian of an Mlp, Icnn or LyapunovCandidate at one point x,
-    shape (out_dim, in_dim); (1, in_dim) for a candidate.
+    """Exact Jacobian of an Mlp or Icnn at one point x, shape (out_dim, in_dim).
 
     One forward pass carries J <- diag(act'(z_k)) W_k J layer by layer
     (forward-mode differentiation; an Icnn layer carries
     J_k = diag(act'(z_k)) (U_k J_{k-1} + W_k)). Preactivations are formed as in
-    `forward`, and relu's slope at an exact kink is 0 (see `_slope`). A
-    candidate's gradient is sigma'(g(x) - g(0)) grad g(x) + 2 eps_quad x', with
-    grad g from its core's pass.
+    `forward`, and relu's slope at an exact kink is 0 (see `_slope`).
     """
-    if isinstance(net, LyapunovCandidate):
-        g, Jg = _value_and_jacobian(net.core, x)
-        s = g - forward(net.core, np.zeros(net.in_dim))
-        x = np.asarray(x, dtype=float).ravel()
-        return _slope(net.outer, s, _act(net.outer, s)) * Jg + 2.0 * net.eps_quad * x
     return _value_and_jacobian(net, x)[1]
 
 
@@ -277,15 +273,47 @@ def _value_and_jacobian(net, x):
     return Z[0], J
 
 
+def value_and_gradient(field, x, grad=None):
+    """(f(x), grad f(x)) of a scalar field f at one point x.
+
+    A one-output Mlp or Icnn: both exact, from one `jacobian` pass. A
+    LyapunovCandidate: sigma'(g(x) - g(0)) grad g(x) + 2 eps_quad x, with g and
+    grad g from its core's pass. A network of more outputs raises ValueError.
+    Any other callable: float(f(x)), with grad(x) when grad is given, else
+    central differences at step 1e-5.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if isinstance(field, LyapunovCandidate):
+        g, Jg = _value_and_jacobian(field.core, x)
+        val, slope = _candidate(field, g, x[None, :])
+        return float(val[0]), (slope * Jg + 2.0 * field.eps_quad * x)[0]
+    if isinstance(field, (Mlp, Icnn)):
+        if field.out_dim != 1:
+            raise ValueError(f"a scalar field needs one output, the network has {field.out_dim}")
+        v, J = _value_and_jacobian(field, x)
+        return float(v[0]), J[0]
+    if grad is not None:
+        return float(field(x)), np.asarray(grad(x), dtype=float).ravel()
+    from .dyn import central_difference  # dyn imports nn
+
+    f = lambda z: float(field(z))
+    return f(x), central_difference(f, x, 1e-5)
+
+
+def _candidate(V: LyapunovCandidate, g, X):
+    """V at the points X (N, dim) from its core's outputs g (N,), and the outer
+    slope sigma'(g - g(0)) there."""
+    s = g - forward(V.core, np.zeros(V.in_dim))[0]
+    out = _act(V.outer, s)
+    val = out - _act(V.outer, np.zeros(1))[0] + V.eps_quad * np.sum(X**2, axis=1)
+    return val, _slope(V.outer, s, out)
+
+
 def lyapunov_eval(V: LyapunovCandidate, x):
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     X = np.atleast_2d(x)
-    g = forward(V.core, X)[:, 0]
-    g0 = forward(V.core, np.zeros(V.in_dim))[0]
-    val = _act(V.outer, g - g0) - _act(V.outer, np.zeros(1))[0]
-    val = val + V.eps_quad * np.sum(X**2, axis=1)
-    return float(val[0]) if single else val
+    val = _candidate(V, forward(V.core, X)[:, 0], X)[0]
+    return float(val[0]) if x.ndim == 1 else val
 
 
 def check_icnn(net: Icnn, domain, trials: int, seed: int):

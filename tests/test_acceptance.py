@@ -195,11 +195,12 @@ def test_criterion_7_phs_dissipation_and_rk4_order():
 
 
 def test_criterion_8_zubov_closed_form():
-    W = certify.AnalyticField(
-        value=lambda x: 1.0 - np.exp(-float(x @ x)),
-        grad=lambda x: 2.0 * x * np.exp(-float(x @ x)),
+    spec = certify.ZubovSpec(
+        lambda x: 1.0 - np.exp(-float(x @ x)),
+        lambda x: -x,
+        psi=lambda x: 2.0 * float(x @ x),
+        grad_W=lambda x: 2.0 * x * np.exp(-float(x @ x)),
     )
-    spec = certify.ZubovSpec(W, lambda x: -x, psi=lambda x: 2.0 * float(x @ x))
     grid = np.linspace(-3.0, 3.0, 1000)[:, None]
     rep = certify.zubov_residual(spec, grid)
     report(

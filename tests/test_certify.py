@@ -145,21 +145,14 @@ def test_quadratic_energy_check_detects_violation():
     assert not rep["passed"]
 
 
-def test_lyapunov_decrease_loss_values():
-    V = lambda x: float(x @ x)
-    down = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
-    assert certify.lyapunov_decrease_loss(V, [down]) == 0.0
-    up = np.array([[1.0, 0.0], [2.0, 0.0]])  # V: 1 -> 4, hinge 3, squared 9
-    assert certify.lyapunov_decrease_loss(V, [up]) == pytest.approx(9.0)
-
-
 def test_zubov_closed_form_residual_zero():
     # dx/dt = -x, Psi = 2x^2, W = 1 - exp(-x^2): residual identically zero
-    W = certify.AnalyticField(
-        value=lambda x: 1.0 - np.exp(-float(x @ x)),
-        grad=lambda x: 2.0 * x * np.exp(-float(x @ x)),
+    spec = certify.ZubovSpec(
+        lambda x: 1.0 - np.exp(-float(x @ x)),
+        lambda x: -x,
+        psi=lambda x: 2.0 * float(x @ x),
+        grad_W=lambda x: 2.0 * x * np.exp(-float(x @ x)),
     )
-    spec = certify.ZubovSpec(W, lambda x: -x, psi=lambda x: 2.0 * float(x @ x))
     pts = np.linspace(-2, 2, 101)[:, None]
     rep = certify.zubov_residual(spec, pts)
     assert rep["max_residual"] <= 1e-12
@@ -167,8 +160,7 @@ def test_zubov_closed_form_residual_zero():
 
 
 def test_zubov_flags_range_violation():
-    W = certify.AnalyticField(value=lambda x: 2.0, grad=lambda x: np.zeros_like(x))
-    spec = certify.ZubovSpec(W, lambda x: -x)
+    spec = certify.ZubovSpec(lambda x: 2.0, lambda x: -x, grad_W=lambda x: np.zeros_like(x))
     rep = certify.zubov_residual(spec, np.array([[1.0]]))
     assert rep["range_violations"]
     assert not rep["passed"]
@@ -187,6 +179,13 @@ def test_zubov_residual_network_w_exact_gradient():
     assert rep["mean_residual"] == np.mean(exact)
     assert rep["w_at_origin"] == pytest.approx(b, abs=1e-15)
     assert not rep["origin_ok"]
+
+
+def test_zubov_residual_rejects_two_output_network_w():
+    # a second output row is not dropped: W must be a scalar field
+    W = nn.Mlp((nn.Layer([[0.3, -0.2], [5.0, 5.0]], [0.1, 0.0], "identity"),))
+    with pytest.raises(ValueError):
+        certify.zubov_residual(certify.ZubovSpec(W, lambda x: -x), np.array([[0.5, 0.5]]))
 
 
 def test_zubov_residual_callable_w_finite_difference_gradient():

@@ -87,7 +87,7 @@ def test_clf_check_matches_box_vertex_minimum():
     x = np.array([0.5, 0.3])
     box = geom.Box([-1.0, 0.5], [2.0, 3.0])
     rep = filters.clf_check(ode, x, clf, box)
-    gv = clf.gradient(x)
+    gv = clf.grad_V(x)
     brute = min(
         float(gv @ (ode.f(x) + ode.g(x) @ np.array(u)))
         for u in [(a, b) for a in (-1.0, 2.0) for b in (0.5, 3.0)]
@@ -97,9 +97,12 @@ def test_clf_check_matches_box_vertex_minimum():
 
 
 def test_clf_gradient_finite_difference_without_grad():
-    clf = filters.ClfSpec(lambda x: float(x @ x), None)
+    # V = x'x with no grad_V: the Lie derivative -2 x'x uses the fd gradient
+    clf = filters.ClfSpec(lambda x: float(x @ x))
     x = np.array([0.5, -1.5, 2.0])
-    np.testing.assert_allclose(clf.gradient(x), 2.0 * x, rtol=0, atol=1e-8)
+    ode = dyn.linear_ode(-np.eye(3))
+    rep = filters.clf_check(ode, x, clf, geom.Box([-1.0], [1.0]))
+    assert rep["inf_lie_derivative"] == pytest.approx(-2.0 * float(x @ x), rel=0, abs=1e-8)
 
 
 def test_clf_gradient_of_lyapunov_candidate_is_exact():
@@ -109,10 +112,21 @@ def test_clf_gradient_of_lyapunov_candidate_is_exact():
         b=(np.zeros(2), np.zeros(1)),
         activations=("softplus", "softplus"),
     )
-    clf = filters.ClfSpec(nn.LyapunovCandidate(core, eps_quad=0.05), None)
+    V = nn.LyapunovCandidate(core, eps_quad=0.05)
     x = np.array([0.4, -1.1])
-    assert np.array_equal(clf.gradient(x), nn.jacobian(clf.V, x)[0])
-    np.testing.assert_allclose(clf.gradient(x), dyn.central_difference(clf.value, x, 1e-6), atol=1e-8)
+    ode = dyn.linear_ode(np.array([[-1.0, 0.5], [0.0, -2.0]]))  # g = 0: inf Lie = gv.f
+    rep = filters.clf_check(ode, x, filters.ClfSpec(V), geom.Box([-1.0], [1.0]))
+    _, gv = nn.value_and_gradient(V, x)
+    assert rep["value"] == nn.lyapunov_eval(V, x)
+    assert rep["inf_lie_derivative"] == float(gv @ ode.f(x))
+    fd = dyn.central_difference(lambda z: nn.lyapunov_eval(V, z), x, 1e-6)
+    np.testing.assert_allclose(gv, fd, atol=1e-8)
+
+
+def test_clf_check_rejects_two_output_network_v():
+    V = nn.Mlp((nn.Layer(np.eye(2), np.zeros(2), "identity"),))
+    with pytest.raises(ValueError):
+        filters.clf_check(dyn.linear_ode(-np.eye(2)), np.ones(2), filters.ClfSpec(V), geom.Box([-1.0], [1.0]))
 
 
 def test_clf_check_reports_failure():
@@ -131,7 +145,7 @@ def test_psf_linear_passthrough_when_safe():
         input_set=geom.Box([-1.0], [1.0]),
         terminal_set=geom.Box([-10.0], [10.0]),
     )
-    u0, diag = filters.predictive_safety_filter(model, np.array([0.0]), np.array([0.2]), cfg)
+    u0, diag = filters.PredictiveSafetyFilter(model, cfg).filter(np.array([0.0]), np.array([0.2]))
     assert u0[0] == pytest.approx(0.2, abs=1e-5)
     assert diag["qp_status"] == "Optimal"
     assert not diag["terminal_set_defaulted"]
@@ -147,7 +161,7 @@ def test_psf_blocks_exit():
         input_set=geom.Box([-1.0], [1.0]),
         terminal_set=geom.Box([-1.0], [1.0]),
     )
-    u0, _ = filters.predictive_safety_filter(model, np.array([0.95]), np.array([1.0]), cfg)
+    u0, _ = filters.PredictiveSafetyFilter(model, cfg).filter(np.array([0.95]), np.array([1.0]))
     assert u0[0] <= 0.05 + 1e-5
 
 
@@ -156,7 +170,7 @@ def test_psf_default_terminal_flagged():
     cfg = filters.PsfConfig(
         horizon=2, state_set=geom.Box([-1.0], [1.0]), input_set=geom.Box([-1.0], [1.0])
     )
-    _, diag = filters.predictive_safety_filter(model, np.array([0.0]), np.array([0.1]), cfg)
+    _, diag = filters.PredictiveSafetyFilter(model, cfg).filter(np.array([0.0]), np.array([0.1]))
     assert diag["terminal_set_defaulted"]
 
 
@@ -167,14 +181,14 @@ def test_psf_soft_slack_reports_magnitude():
         horizon=2, state_set=geom.Box([-1.0], [1.0]), input_set=geom.Box([-0.1], [0.1])
     )
     with pytest.raises(InfeasibleFilter):
-        filters.predictive_safety_filter(model, np.array([2.0]), np.array([0.0]), hard)
+        filters.PredictiveSafetyFilter(model, hard).filter(np.array([2.0]), np.array([0.0]))
     soft = filters.PsfConfig(
         horizon=2,
         state_set=geom.Box([-1.0], [1.0]),
         input_set=geom.Box([-0.1], [0.1]),
         slack_weight=100.0,
     )
-    _, diag = filters.predictive_safety_filter(model, np.array([2.0]), np.array([0.0]), soft)
+    _, diag = filters.PredictiveSafetyFilter(model, soft).filter(np.array([2.0]), np.array([0.0]))
     assert diag["max_slack"] > 0.5
 
 
@@ -193,7 +207,7 @@ def test_psf_nonlinear_sqp_runs():
         input_set=geom.Box([-1.0], [1.0]),
         terminal_set=geom.Box([-2.0], [2.0]),
     )
-    u0, diag = filters.predictive_safety_filter(psf_model, np.array([0.5]), np.array([0.3]), cfg)
+    u0, diag = filters.PredictiveSafetyFilter(psf_model, cfg).filter(np.array([0.5]), np.array([0.3]))
     assert diag["sqp_iterations"] >= 1
     assert diag.get("approximation") == "successive_linearization"
     assert -1.0 <= u0[0] <= 1.0

@@ -100,6 +100,8 @@ def test_icnn_jacobian_closed_form():
 def test_jacobian_rejects_other_networks_and_wrong_dims():
     with pytest.raises(UnsupportedModel):
         nn.jacobian(lambda x: x, np.zeros(2))
+    with pytest.raises(UnsupportedModel):
+        nn.jacobian(nn.LyapunovCandidate(make_icnn(), eps_quad=0.05), np.zeros(2))
     with pytest.raises(DimensionMismatch):
         nn.jacobian(small_mlp(), np.zeros(3))
 
@@ -115,7 +117,33 @@ def test_lyapunov_candidate_jacobian_closed_form():
         x = np.array(x)
         grad_g = sig(pre(x)) * (U * sig(x) + 0.5)
         s = np.logaddexp(0.0, pre(x)) - np.logaddexp(0.0, pre(np.zeros(2)))
-        np.testing.assert_allclose(nn.jacobian(V, x), [sig(s) * grad_g + 0.1 * x], rtol=1e-14)
+        v, grad = nn.value_and_gradient(V, x)
+        assert v == nn.lyapunov_eval(V, x)
+        np.testing.assert_allclose(grad, sig(s) * grad_g + 0.1 * x, rtol=1e-14)
+
+
+def test_value_and_gradient_of_network_is_its_pass():
+    rng = np.random.default_rng(3)
+    net = _random_mlp(rng, (3, 5, 4, 1), ("softplus", "relu", "identity"))
+    for net in (net, make_icnn()):
+        for x in rng.normal(size=(10, net.in_dim)):
+            v, grad = nn.value_and_gradient(net, x)
+            assert v == nn.forward(net, x)[0]
+            assert np.array_equal(grad, nn.jacobian(net, x)[0])
+
+
+def test_value_and_gradient_of_callable():
+    f = lambda x: float(np.sum(np.sin(x)))
+    x = np.array([0.3, -1.2, 2.5])
+    g = np.array([1.0, 2.0, 3.0])
+    v, grad = nn.value_and_gradient(f, x, lambda z: g)
+    assert v == f(x)
+    assert np.array_equal(grad, g)
+    # central differences at step 1e-5: truncation h^2/6 ~ 2e-11 plus
+    # rounding ~ eps/h ~ 2e-11 per coordinate
+    v, grad = nn.value_and_gradient(f, x)
+    assert v == f(x)
+    np.testing.assert_allclose(grad, np.cos(x), rtol=0, atol=1e-9)
 
 
 def _random_mlp(rng, dims, acts):
@@ -182,6 +210,15 @@ def test_compose_and_stack_reject_mismatches():
         nn.stack(f, nn.Mlp((nn.Layer(f.layers[0].W, f.layers[0].b, "sigmoid"), f.layers[1])))
     with pytest.raises(UnsupportedModel):
         nn.stack()
+
+
+def test_lyapunov_candidate_rejects_unknown_outer():
+    with pytest.raises(UnsupportedActivation):
+        nn.LyapunovCandidate(make_icnn(), eps_quad=0.05, outer="tanh")
+    d = nn.network_to_dict(nn.LyapunovCandidate(make_icnn(), eps_quad=0.05))
+    d["outer"] = "tanh"
+    with pytest.raises(UnsupportedActivation):
+        nn.network_from_dict(d)
 
 
 def test_lyapunov_zero_at_origin_and_positive():
