@@ -1,6 +1,6 @@
 """Dynamics model representations, simulation, closed-loop composition, and
 linearization (the map's value with its Jacobians: exact for the linear,
-polynomial and network maps; central differences for composed and ODE maps).
+polynomial and network maps; `nn.central_difference` for the others).
 
 The model library is deliberately closed (linear, polynomial and network
 maps; linear/polynomial/PHS/bicycle ODEs) so downstream verifiers can
@@ -31,7 +31,6 @@ __all__ = [
     "simulate_ode",
     "closed_loop",
     "linearize",
-    "central_difference",
     "linear_ode",
     "phs_ode",
 ]
@@ -101,6 +100,13 @@ class NetworkMap:
 
     net: nn.Mlp
     input_dim: int = 0
+
+    def __post_init__(self):
+        net, m = self.net, self.input_dim
+        if not isinstance(net, nn.Mlp):
+            raise UnsupportedModel("a network map needs an nn.Mlp")
+        if not 0 <= m < net.in_dim == net.out_dim + m:
+            raise DimensionMismatch(f"need an (n+{m})->n net with n >= 1, got {net.in_dim}->{net.out_dim}")
 
     @property
     def state_dim(self):
@@ -427,32 +433,17 @@ def _coerce_policy(policy, state_dim, input_dim):
     return K
 
 
-def central_difference(f, x, h):
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h), evaluated one
-    coordinate at a time: the gradient of a scalar f, or the Jacobian of a
-    vector-valued f (one column per coordinate).
-
-    The evaluations are not batched: batched matmuls round differently.
-    """
-    cols = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        cols.append((f(x + e) - f(x - e)) / (2 * h))
-    return np.stack(cols, axis=-1)
-
-
 def linearize(model, x, u=None):
     """The value f(x, u) of a discrete map with its Jacobians (A, B), checked
     against the model's dimensions. Exact for LinearMap, PolynomialMap
     (A = L + 2 sum_k Q[:, :, k] x_k) and NetworkMap (value and Jacobian from
-    one forward pass, `nn.jacobian`); central differences with step
-    1e-5 (1 + max|x|) for composed and ODE maps. A non-finite value raises
-    NonFiniteState, as in `step`."""
+    one forward pass, `nn.value_and_jacobian`); `nn.central_difference` for
+    composed and ODE maps, stepping in x for A and in u for B. A non-finite
+    value raises NonFiniteState, as in `step`."""
     x, u = _point(model, x, u)
     no_input = np.empty((x.size, 0))
     if isinstance(model, NetworkMap):
-        fx, J = nn._value_and_jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
+        fx, J = nn.value_and_jacobian(model.net, x if model.input_dim == 0 else np.concatenate([x, u]))
         if not np.all(np.isfinite(fx)):
             raise NonFiniteState("map produced NaN/Inf")
         A, B = J[:, : x.size], J[:, x.size :]
@@ -463,9 +454,8 @@ def linearize(model, x, u=None):
         elif isinstance(model, PolynomialMap):
             A, B = model.linear + 2.0 * (model.quadratic @ x), no_input
         else:
-            h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
-            A = central_difference(lambda xi: step(model, xi, u), x, h)
-            B = central_difference(lambda ui: step(model, x, ui), u, h) if model.input_dim > 0 else no_input
+            A = nn.central_difference(lambda xi: step(model, xi, u), x)
+            B = nn.central_difference(lambda ui: step(model, x, ui), u) if model.input_dim > 0 else no_input
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NonFiniteState("non-finite Jacobian")
     return fx, A, B

@@ -131,6 +131,8 @@ class CbfFilter:
     def __init__(self, sys: dyn.ControlAffineODE, barriers, u_box: geom.Box):
         if isinstance(barriers, BarrierSpec):
             barriers = [barriers]
+        if u_box.dim != sys.input_dim:
+            raise DimensionMismatch(f"input box has dim {u_box.dim}, the system {sys.input_dim} inputs")
         self.sys = sys
         self.barriers = list(barriers)
         self.u_box = u_box

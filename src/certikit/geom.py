@@ -199,22 +199,20 @@ def pad(region, eps: float):
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
-def fit_oriented_box(points: PointSet, pad: float = 0.0) -> OrientedBox:
+def fit_oriented_box(points: PointSet) -> OrientedBox:
     """PCA-oriented bounding box of a point cloud.
 
     Axes are covariance eigenvectors in descending eigenvalue order; ties are
     broken lexicographically and each axis sign is fixed so its first nonzero
     entry is positive, for reproducibility.
     """
-    if pad < 0:
-        raise NegativeRadius("pad must be >= 0")
     pts = points.points
     n = points.dim
     mean = pts.mean(axis=0)
     centered = pts - mean
     if np.max(np.abs(centered), initial=0.0) < 1e-15:
         # degenerate cloud: zero-width box at the common point
-        return OrientedBox(mean, np.eye(n), np.full(n, pad))
+        return OrientedBox(mean, np.eye(n), np.zeros(n))
     cov = centered.T @ centered / max(len(points) - 1, 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals)
@@ -236,8 +234,7 @@ def fit_oriented_box(points: PointSet, pad: float = 0.0) -> OrientedBox:
             evecs[:, i : j + 1] = block[:, keys]
         i = j + 1
     proj = centered @ evecs
-    hw = np.max(np.abs(proj), axis=0) + pad
-    return OrientedBox(mean, evecs, hw)
+    return OrientedBox(mean, evecs, np.max(np.abs(proj), axis=0))
 
 
 def hausdorff(a: PointSet, b: PointSet) -> float:

@@ -1,6 +1,7 @@
 """Inference and structural validation of feedforward networks, ICNNs, and
-Lyapunov candidates, and `value_and_gradient`, the one evaluator of scalar
-certificate fields (a network, a candidate or a plain callable).
+Lyapunov candidates, and the package's derivatives: exact network Jacobians
+(`value_and_jacobian`), the one finite-difference rule (`central_difference`)
+and the one evaluator of scalar certificate fields (`value_and_gradient`).
 
 No training here: networks are loaded from (or saved to) a portable JSON
 weight format and evaluated exactly, layer by layer.
@@ -22,7 +23,8 @@ __all__ = [
     "compose",
     "stack",
     "forward",
-    "jacobian",
+    "value_and_jacobian",
+    "central_difference",
     "value_and_gradient",
     "lyapunov_eval",
     "check_icnn",
@@ -232,20 +234,15 @@ def forward(net, x):
     return Z[0] if single else Z
 
 
-def jacobian(net, x):
-    """Exact Jacobian of an Mlp or Icnn at one point x, shape (out_dim, in_dim).
+def value_and_jacobian(net, x):
+    """(net(x), exact Jacobian at x, shape (out_dim, in_dim)) of an Mlp or
+    Icnn at one point x; the value equals `forward(net, x)` bit for bit.
 
     One forward pass carries J <- diag(act'(z_k)) W_k J layer by layer
     (forward-mode differentiation; an Icnn layer carries
     J_k = diag(act'(z_k)) (U_k J_{k-1} + W_k)). Preactivations are formed as in
     `forward`, and relu's slope at an exact kink is 0 (see `_slope`).
     """
-    return _value_and_jacobian(net, x)[1]
-
-
-def _value_and_jacobian(net, x):
-    """(net(x), Jacobian at x) from the one forward pass `jacobian` describes;
-    the value equals `forward(net, x)` bit for bit."""
     if not isinstance(net, (Mlp, Icnn)):
         raise UnsupportedModel(f"no Jacobian for {type(net).__name__}")
     x = np.asarray(x, dtype=float).ravel()
@@ -273,31 +270,44 @@ def _value_and_jacobian(net, x):
     return Z[0], J
 
 
+def central_difference(f, x):
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h), one
+    coordinate at a time (unbatched: batched matmuls round differently), at
+    the step h = 1e-5 (1 + max|x|) that scales with x (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., sec. 8.1): the gradient of a scalar f,
+    or the Jacobian of a vector-valued f (one column per coordinate)."""
+    h = 1e-5 * (1.0 + np.max(np.abs(x), initial=0.0))
+    cols = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        cols.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def value_and_gradient(field, x, grad=None):
     """(f(x), grad f(x)) of a scalar field f at one point x.
 
-    A one-output Mlp or Icnn: both exact, from one `jacobian` pass. A
-    LyapunovCandidate: sigma'(g(x) - g(0)) grad g(x) + 2 eps_quad x, with g and
-    grad g from its core's pass. A network of more outputs raises ValueError.
-    Any other callable: float(f(x)), with grad(x) when grad is given, else
-    central differences at step 1e-5.
+    A one-output Mlp or Icnn: both exact, from one `value_and_jacobian` pass.
+    A LyapunovCandidate: sigma'(g(x) - g(0)) grad g(x) + 2 eps_quad x, with g
+    and grad g from its core's pass. A network of more outputs raises
+    ValueError. Any other callable: float(f(x)), with grad(x) when grad is
+    given, else `central_difference`.
     """
     x = np.asarray(x, dtype=float).ravel()
     if isinstance(field, LyapunovCandidate):
-        g, Jg = _value_and_jacobian(field.core, x)
+        g, Jg = value_and_jacobian(field.core, x)
         val, slope = _candidate(field, g, x[None, :])
         return float(val[0]), (slope * Jg + 2.0 * field.eps_quad * x)[0]
     if isinstance(field, (Mlp, Icnn)):
         if field.out_dim != 1:
             raise ValueError(f"a scalar field needs one output, the network has {field.out_dim}")
-        v, J = _value_and_jacobian(field, x)
+        v, J = value_and_jacobian(field, x)
         return float(v[0]), J[0]
     if grad is not None:
         return float(field(x)), np.asarray(grad(x), dtype=float).ravel()
-    from .dyn import central_difference  # dyn imports nn
-
     f = lambda z: float(field(z))
-    return f(x), central_difference(f, x, 1e-5)
+    return f(x), central_difference(f, x)
 
 
 def _candidate(V: LyapunovCandidate, g, X):

@@ -162,7 +162,7 @@ def _template_region(samples: np.ndarray, template: str, eps: float):
     if template == "sample_hull":
         return ps  # hull semantics; eps slack applied at containment time
     if template == "pca_box":
-        return geom.fit_oriented_box(ps, pad=eps)
+        return geom.pad(geom.fit_oriented_box(ps), eps)
     if template == "interval":
         return geom.pad(geom.Box(samples.min(axis=0), samples.max(axis=0)), eps)
     raise ValueError(template)

@@ -40,6 +40,20 @@ def test_network_map_step():
     np.testing.assert_allclose(dyn.step(m, [2.0], [3.0]), [5.0])
 
 
+def test_network_map_checks_its_network():
+    net = nn.Mlp((nn.Layer(np.ones((3, 2)), np.zeros(3), "relu"),))  # 2 -> 3
+    for m in (0, 1, 2, 5, -1):
+        with pytest.raises(DimensionMismatch):
+            dyn.NetworkMap(net, input_dim=m)
+    with pytest.raises(UnsupportedModel):
+        dyn.NetworkMap(lambda z: z)
+    icnn = nn.Icnn((np.eye(2),), (), (np.zeros(2),), ("relu",))
+    with pytest.raises(UnsupportedModel):
+        dyn.NetworkMap(icnn)
+    square = nn.Mlp((nn.Layer(np.ones((2, 3)), np.zeros(2), "relu"),))  # 3 -> 2
+    assert dyn.NetworkMap(square, input_dim=1).state_dim == 2
+
+
 def test_simulate_map_rollout():
     m = dyn.LinearMap(0.5 * np.eye(1))
     traj = dyn.simulate_map(m, [8.0], 3)

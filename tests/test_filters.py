@@ -21,6 +21,23 @@ def test_barrier_gradient_consistency():
         bad.validate_gradient(np.array([1.0]))
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_barrier_exact_gradient_validates_far_from_origin(scale):
+    # the reference gradient's rounding error is about eps |h(x)| / step;
+    # a step that grows with max|x| keeps it below GRADIENT_TOL (1 + |grad h|)
+    bar = filters.quadratic_barrier(np.eye(2), np.zeros(2), 1.0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        bar.validate_gradient(rng.normal(size=2) * scale)
+
+
+def test_cbf_rejects_input_box_of_wrong_dim():
+    with pytest.raises(DimensionMismatch):
+        filters.CbfFilter(
+            dyn.linear_ode([[0.0]], [[1.0]]), filters.affine_barrier([-1.0], 1.0), geom.Box([-1.0, -1.0], [1.0, 1.0])
+        )
+
+
 def test_cbf_passes_safe_nominal_through():
     bar = filters.affine_barrier(np.array([-1.0]), 1.0, 1.0)  # h = 1 - x
     flt = filters.CbfFilter(integrator(), bar, geom.Box([-2.0], [2.0]))
@@ -119,7 +136,7 @@ def test_clf_gradient_of_lyapunov_candidate_is_exact():
     _, gv = nn.value_and_gradient(V, x)
     assert rep["value"] == nn.lyapunov_eval(V, x)
     assert rep["inf_lie_derivative"] == float(gv @ ode.f(x))
-    fd = dyn.central_difference(lambda z: nn.lyapunov_eval(V, z), x, 1e-6)
+    fd = nn.central_difference(lambda z: nn.lyapunov_eval(V, z), x)
     np.testing.assert_allclose(gv, fd, atol=1e-8)
 
 

@@ -126,7 +126,7 @@ def test_fit_oriented_box_recovers_rotation():
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     raw = rng.uniform([-2, -0.5], [2, 0.5], size=(500, 2))
     pts = raw @ R.T
-    ob = geom.fit_oriented_box(geom.PointSet(pts), pad=0.0)
+    ob = geom.fit_oriented_box(geom.PointSet(pts))
     # long axis should align with the rotated first axis (up to sign)
     align = abs(ob.axes[:, 0] @ R[:, 0])
     assert align > 0.99
@@ -135,7 +135,7 @@ def test_fit_oriented_box_recovers_rotation():
 
 def test_fit_oriented_box_degenerate_cloud():
     pts = np.tile([1.0, 2.0], (5, 1))
-    ob = geom.fit_oriented_box(geom.PointSet(pts), pad=0.0)
+    ob = geom.fit_oriented_box(geom.PointSet(pts))
     assert geom.contains(ob, [1.0, 2.0])
     np.testing.assert_allclose(ob.half_widths, 0.0, atol=1e-12)
 

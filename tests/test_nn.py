@@ -94,16 +94,16 @@ def test_icnn_jacobian_closed_form():
         x = np.array(x)
         pre = U @ np.logaddexp(0.0, x) + 0.5 * x.sum()
         expected = sig(pre) * (U * sig(x) + 0.5)
-        np.testing.assert_allclose(nn.jacobian(net, x), [expected], rtol=1e-14)
+        np.testing.assert_allclose(nn.value_and_jacobian(net, x)[1], [expected], rtol=1e-14)
 
 
 def test_jacobian_rejects_other_networks_and_wrong_dims():
     with pytest.raises(UnsupportedModel):
-        nn.jacobian(lambda x: x, np.zeros(2))
+        nn.value_and_jacobian(lambda x: x, np.zeros(2))
     with pytest.raises(UnsupportedModel):
-        nn.jacobian(nn.LyapunovCandidate(make_icnn(), eps_quad=0.05), np.zeros(2))
+        nn.value_and_jacobian(nn.LyapunovCandidate(make_icnn(), eps_quad=0.05), np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        nn.jacobian(small_mlp(), np.zeros(3))
+        nn.value_and_jacobian(small_mlp(), np.zeros(3))
 
 
 def test_lyapunov_candidate_jacobian_closed_form():
@@ -129,7 +129,7 @@ def test_value_and_gradient_of_network_is_its_pass():
         for x in rng.normal(size=(10, net.in_dim)):
             v, grad = nn.value_and_gradient(net, x)
             assert v == nn.forward(net, x)[0]
-            assert np.array_equal(grad, nn.jacobian(net, x)[0])
+            assert np.array_equal(grad, nn.value_and_jacobian(net, x)[1][0])
 
 
 def test_value_and_gradient_of_callable():
@@ -139,11 +139,23 @@ def test_value_and_gradient_of_callable():
     v, grad = nn.value_and_gradient(f, x, lambda z: g)
     assert v == f(x)
     assert np.array_equal(grad, g)
-    # central differences at step 1e-5: truncation h^2/6 ~ 2e-11 plus
-    # rounding ~ eps/h ~ 2e-11 per coordinate
+    # central differences at step h = 1e-5 (1 + 2.5): truncation h^2/6 ~ 2e-10
+    # plus rounding ~ eps/h ~ 6e-12 per coordinate
     v, grad = nn.value_and_gradient(f, x)
     assert v == f(x)
     np.testing.assert_allclose(grad, np.cos(x), rtol=0, atol=1e-9)
+
+
+def test_central_difference_step_scales_with_the_point():
+    for x in (np.zeros(2), np.array([3.0, -250.0, 0.5])):
+        seen = []
+        f = lambda z: seen.append(z.copy()) or float(z @ z)
+        nn.value_and_gradient(f, x)
+        assert np.array_equal(seen[0], x) and len(seen) == 1 + 2 * x.size
+        h = 1e-5 * (1.0 + np.max(np.abs(x)))
+        for i, (plus, minus) in enumerate(zip(seen[1::2], seen[2::2])):
+            np.testing.assert_allclose(plus - minus, 2 * h * np.eye(x.size)[i], rtol=1e-9, atol=0)
+            np.testing.assert_allclose(plus + minus, 2 * x, rtol=1e-15, atol=0)
 
 
 def _random_mlp(rng, dims, acts):
